@@ -111,6 +111,11 @@ _LINE_RE = re.compile(
     r'(\S+)[ \t]+(\S+)[ \t]*$'
 )
 
+# Tokens of a line that failed _LINE_RE: a bracketed date, a quoted request
+# (backslash escapes) or a run of non-blanks. An unterminated bracket or
+# quote takes the rest of the line and is captured as group 2.
+_TOKEN_RE = re.compile(r'(\[[^\]]*\]|"(?:[^"\\]|\\.)*"|([\["]).*|[^ \t]+)', re.DOTALL)
+
 # Split the request line on unescaped spaces. "\ " never splits; the rarer
 # "\\ " (escaped backslash then space) is treated the same, which keeps
 # every parseable resource re-serializable.
@@ -206,33 +211,12 @@ def _split_request(request: str) -> list[str]:
 
 def _diagnose(line: str) -> ParseError:
     """Cold path: the general regex failed, find the first failing field."""
-    tokens = []
-    i, n = 0, len(line)
-    while i < n:
-        c = line[i]
-        if c == " " or c == "\t":
-            i += 1
-            continue
-        if c == "[":
-            j = line.find("]", i + 1)
-            if j < 0:
-                return ParseError(ParseReason.MALFORMED_DATE, line)
-            tokens.append(line[i:j + 1])
-            i = j + 1
-        elif c == '"':
-            j = i + 1
-            while j < n and line[j] != '"':
-                j += 2 if line[j] == "\\" else 1
-            if j >= n:
-                return ParseError(ParseReason.MALFORMED_REQUEST, line)
-            tokens.append(line[i:j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and line[j] != " " and line[j] != "\t":
-                j += 1
-            tokens.append(line[i:j])
-            i = j
+    matches = _TOKEN_RE.findall(line)
+    if matches and matches[-1][1]:
+        reason = ParseReason.MALFORMED_DATE if matches[-1][1] == "[" \
+            else ParseReason.MALFORMED_REQUEST
+        return ParseError(reason, line)
+    tokens = [token for token, _ in matches]
     if len(tokens) != 7:
         return ParseError(ParseReason.FIELD_COUNT_MISMATCH, line)
     if tokens[3][:1] != "[" or tokens[3][-1:] != "]":
@@ -242,7 +226,8 @@ def _diagnose(line: str) -> ParseError:
     result = _build(tokens[0], tokens[1], tokens[2], tokens[3][1:-1],
                     _split_request(tokens[4][1:-1]), tokens[5], tokens[6], line)
     if type(result) is LogRecord:
-        # Unreachable in practice: whatever broke the regex breaks here too.
+        # Seven well-formed fields that _LINE_RE still rejects, such as a
+        # line with leading blanks or a quoted host: not a CLF line.
         return ParseError(ParseReason.FIELD_COUNT_MISMATCH, line)
     return result
 

@@ -7,12 +7,14 @@ edits/prints taxonomy files. Outputs are deterministic byte-for-byte for
 equal inputs and flags, and files are written atomically.
 
 Exit codes: 0 success, 1 usage or input error, 2 no records parsed,
-3 clique explosion guard tripped.
+3 clique explosion guard tripped. ``main`` reports every failure as one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -37,25 +39,42 @@ RECORDS_HEADER = ("# host\tident\tauthuser\ttimestamp\tmethod\tresource"
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; 2 means "no records" here.
+    # Like every other failure, bad usage is reported on one "error:" line.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"error: {message} (see '{self.prog} --help')\n")
         raise SystemExit(EXIT_USAGE)
 
 
-def atomic_write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _about(what: str) -> Iterator[None]:
+    """Prefix the message of an OSError or ValueError raised in the block."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"{what}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def atomic_writer(path: str) -> Iterator[IO[str]]:
+    """A text file that replaces ``path`` when the block completes; on failure, nothing does."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    with _about(f"cannot write {path}"):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            yield f
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
+
+
+def atomic_write(path: str, text: str) -> None:
+    with atomic_writer(path) as f:
+        f.write(text)
 
 
 def record_tsv_line(rec: LogRecord) -> str:
@@ -121,58 +140,38 @@ def _policy_from_args(args) -> FilterPolicy:
     try:
         classes = frozenset(int(c) for c in args.policy_status.split(",") if c.strip())
     except ValueError:
-        raise SystemExit(_fail("bad --policy-status: expected digits like '2,3'"))
+        raise ValueError("bad --policy-status: expected digits like '2,3'") from None
     if not methods or not classes:
-        raise SystemExit(_fail("policy must keep at least one method and status class"))
+        raise ValueError("policy must keep at least one method and status class")
     return FilterPolicy(methods=methods, status_classes=classes)
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+def _read_input(args) -> tuple[FilterPolicy, list[LogRecord], Counter, int]:
+    """Read ``args.input`` and apply the policy flags: (policy, records it
+    keeps, parse-error Counter, number of records it removed)."""
+    policy = _policy_from_args(args)
+    with _about(f"cannot read {args.input}"):
+        records, errors = read_records(args.input)
+    kept = list(clf.filter_records(records, policy))
+    return policy, kept, errors, len(records) - len(kept)
 
 
 def cmd_parse(args) -> int:
-    try:
+    with _about(f"cannot read {args.log}"):
         stream = clf.open_log(args.log)
-    except OSError as exc:
-        return _fail(f"cannot read {args.log}: {exc}")
     lines = 0
     records = 0
     errors: Counter = Counter()
-    out: IO[str] | None = None
-    tmp_path = None
-    try:
-        if args.out:
-            directory = os.path.dirname(os.path.abspath(args.out))
-            fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-            out = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
-        else:
-            out = sys.stdout
+    with stream, (atomic_writer(args.out) if args.out
+                  else contextlib.nullcontext(sys.stdout)) as out:
         out.write(RECORDS_HEADER + "\n")
-        with stream:
-            for outcome in clf.parse_stream(stream):
-                lines += 1
-                if outcome.ok:
-                    records += 1
-                    out.write(record_tsv_line(outcome.result) + "\n")
-                else:
-                    errors[outcome.result.reason.value] += 1
-        if args.out:
-            out.close()
-            out = None
-            os.replace(tmp_path, args.out)
-            tmp_path = None
-    except clf.LogStreamError as exc:
-        return _fail(str(exc))
-    finally:
-        if tmp_path is not None:
-            if out is not None and out is not sys.stdout:
-                out.close()
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
+        for outcome in clf.parse_stream(stream):
+            lines += 1
+            if outcome.ok:
+                records += 1
+                out.write(record_tsv_line(outcome.result) + "\n")
+            else:
+                errors[outcome.result.reason.value] += 1
     total_errors = sum(errors.values())
     summary = f"{lines} lines, {records} records, {total_errors} errors"
     if total_errors:
@@ -183,13 +182,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_sites(args) -> int:
-    try:
-        records, _ = read_records(args.input)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    policy = _policy_from_args(args)
-    refs = [extract_page_ref(r.resource)
-            for r in clf.filter_records(records, policy)]
+    refs = [extract_page_ref(r.resource) for r in _read_input(args)[1]]
     if not refs:
         print("0 sites, 0 local")
         return EXIT_EMPTY
@@ -215,12 +208,7 @@ def cmd_sites(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    try:
-        records, _ = read_records(args.input)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    policy = _policy_from_args(args)
-    kept = list(clf.filter_records(records, policy))
+    policy, kept, parse_errors, filtered_out = _read_input(args)
     if not kept:
         print("no records to mine after filtering", file=sys.stderr)
         return EXIT_EMPTY
@@ -241,25 +229,22 @@ def cmd_cluster(args) -> int:
         partition = artificial.cluster_sites(profiles, args.sigma)
         tax = artificial.build_artificial_directory(partition, profiles)
     else:
-        try:
+        with _about(f"taxonomy {args.taxonomy}"):
             tax = taxonomy_mod.load_taxonomy(args.taxonomy)
-        except (OSError, taxonomy_mod.TaxonomyError) as exc:
-            return _fail(f"taxonomy: {exc}")
 
     vectors = classify_mod.build_usage_vectors(kept, tax)
     graph = community.build_graph(vectors, args.tau)
-    try:
-        member_sets = community.find_communities(
-            graph, min_size=args.min_size, keep_singletons=args.keep_singletons)
-    except community.ExplosionGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXPLOSION
+    member_sets = community.find_communities(
+        graph, min_size=args.min_size, keep_singletons=args.keep_singletons)
     communities = [community.community_profile(m, vectors) for m in member_sets]
     directories = [community.build_community_directory(tax, com, args.theta)
                    for com in communities]
     report = metrics.build_report(tax, directories, vectors, parameters)
+    report["parse_errors"] = dict(sorted(parse_errors.items()))
+    report["filtered_out"] = filtered_out
 
-    os.makedirs(args.out, exist_ok=True)
+    with _about(f"cannot create directory {args.out}"):
+        os.makedirs(args.out, exist_ok=True)
     for i, cdir in enumerate(directories, 1):
         stem = os.path.join(args.out, f"community-{i:03d}")
         atomic_write(stem + ".txt", community.directory_text(cdir, tax))
@@ -288,26 +273,31 @@ def _show_taxonomy(tax: taxonomy_mod.Taxonomy) -> Iterator[str]:
 
 
 def cmd_taxonomy(args) -> int:
-    try:
+    if args.action != "show" and not args.path:
+        raise ValueError("taxonomy add/update needs a category path")
+    with _about(f"taxonomy {args.file}"):
         tax = taxonomy_mod.load_taxonomy(args.file)
-    except (OSError, taxonomy_mod.TaxonomyError) as exc:
-        return _fail(f"taxonomy: {exc}")
     if args.action == "show":
         for line in _show_taxonomy(tax):
             print(line)
         return EXIT_OK
     keywords = [k.strip() for k in (args.keywords or "").split(",") if k.strip()]
     if args.action == "add" and args.path in tax:
-        return _fail(f"duplicate path: {args.path!r} already exists (use update)")
+        raise ValueError(f"duplicate path: {args.path!r} already exists (use update)")
     if args.action == "update" and args.path not in tax:
-        return _fail(f"unknown path: {args.path!r} (use add)")
-    try:
-        tax = taxonomy_mod.add_or_update_category(tax, args.path, keywords, args.weight)
-    except taxonomy_mod.TaxonomyError as exc:
-        return _fail(str(exc))
+        raise ValueError(f"unknown path: {args.path!r} (use add)")
+    tax = taxonomy_mod.add_or_update_category(tax, args.path, keywords, args.weight)
     atomic_write(args.file, taxonomy_mod.serialize_taxonomy(tax))
     print(f"{args.action}d {args.path} ({len(tax)} categories)")
     return EXIT_OK
+
+
+def _unit_interval(text: str) -> float:
+    """argparse type of --tau and --theta: a number in [0, 1]."""
+    with contextlib.suppress(ValueError):
+        if 0.0 <= float(text) <= 1.0:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
@@ -343,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build an artificial taxonomy from the log itself")
     p.add_argument("--sigma", type=float, default=artificial.DEFAULT_SIGMA,
                    help="site-clustering Jaccard threshold for --artificial")
-    p.add_argument("--tau", type=float, default=community.DEFAULT_TAU,
+    p.add_argument("--tau", type=_unit_interval, default=community.DEFAULT_TAU,
                    help="user-similarity edge threshold")
-    p.add_argument("--theta", type=float, default=community.DEFAULT_THETA,
+    p.add_argument("--theta", type=_unit_interval, default=community.DEFAULT_THETA,
                    help="category score selection threshold")
     p.add_argument("--min-size", type=int, default=community.DEFAULT_MIN_SIZE,
                    help="smallest community to keep")
@@ -374,13 +364,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "taxonomy" \
-            and args.action in ("add", "update") and not args.path:
-        return _fail("taxonomy add/update needs a category path")
+    # The one place where an exception becomes an exit code and one line.
     try:
         return args.func(args)
-    except SystemExit as exc:  # _policy_from_args signals usage errors
-        return int(exc.code or 0)
+    except community.ExplosionGuardError as exc:
+        code, message = EXIT_EXPLOSION, str(exc)
+    except (OSError, ValueError) as exc:
+        code, message = EXIT_USAGE, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -62,9 +62,14 @@ def test_status_out_of_range_is_bad_status():
     ('1.2.3.4 - - [10/Oct/2000:13:55:36 -0700] "GET /a HTTP/1.0" 200 12x', ParseReason.BAD_BYTES),
     ('1.2.3.4 - - [10/Oct/2000:13:55:36 -0700] "GET /a HTTP/1.0" 200 - extra', ParseReason.FIELD_COUNT_MISMATCH),
     ('1.2.3.4 - [10/Oct/2000:13:55:36 -0700] "GET /a HTTP/1.0" 200 -', ParseReason.FIELD_COUNT_MISMATCH),
+    (' 1.2.3.4 - - [10/Oct/2000:13:55:36 -0700] "GET /a HTTP/1.0" 200 -', ParseReason.FIELD_COUNT_MISMATCH),
+    ('"a b" - - [10/Oct/2000:13:55:36 -0700] "GET /a HTTP/1.0" 200 -', ParseReason.FIELD_COUNT_MISMATCH),
+    ('1.2.3.4 - - [10/Oct/2000:13:55:36 -0700 "GET /a HTTP/1.0" 200 -', ParseReason.MALFORMED_DATE),
+    ('1.2.3.4 - - [10/Oct/2000:13:55:36 -0700] "GET /a HTTP/1.0\\" 200 -', ParseReason.MALFORMED_REQUEST),
 ], ids=["garbage", "bad-date", "dash-request", "two-token-request",
         "alpha-status", "negative-bytes", "alpha-bytes", "trailing-field",
-        "missing-field"])
+        "missing-field", "leading-blank", "quoted-host", "unterminated-date",
+        "unterminated-request"])
 def test_error_reasons(line, reason):
     err = parse_line(line)
     assert isinstance(err, ParseError)

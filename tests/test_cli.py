@@ -2,6 +2,7 @@ import gzip
 import json
 import shutil
 
+import pytest
 
 from commdir.cli import main
 
@@ -263,7 +264,76 @@ def test_taxonomy_bad_weight_fails(capsys, tmp_path, data_dir):
     assert code == 1
 
 
-def test_usage_error_exits_1(capsys):
+def test_usage_error_exits_1(capsys, tmp_path, sample_log_path, data_dir):
     assert run(capsys, "cluster")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "taxonomy", "add", "whatever.tsv")[0] == 1
+    cluster = ["cluster", str(sample_log_path), "--taxonomy", str(data_dir / "taxonomy.tsv"),
+               "--out", str(tmp_path / "o")]
+    for flag, value in (("--tau", "1.5"), ("--theta", "-1"), ("--tau", "nan"),
+                        ("--theta", "x")):
+        code, _, stderr = run(capsys, *cluster, flag, value)
+        assert code == 1 and flag in stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_cluster_report_counts_parse_errors_and_filtered(tmp_path, capsys,
+                                                         sample_log_path, data_dir):
+    log = tmp_path / "mixed.log"
+    log.write_text(sample_log_path.read_text() + "@@@ garbage @@@\n"
+                   '1.1.1.1 - - [10/Oct/2000:13:55:36 -0700] "POST /www.b.com/y HTTP/1.0" 200 -\n')
+    records = tmp_path / "records.tsv"
+    run(capsys, "parse", str(log), "--out", str(records))
+    reports = []
+    for src, out in ((log, tmp_path / "from-log"), (records, tmp_path / "from-tsv")):
+        code, _, _ = run(capsys, "cluster", str(src), "--taxonomy", str(data_dir / "taxonomy.tsv"),
+                         "--keep-singletons", "--out", str(out))
+        assert code == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+    assert reports[0]["parse_errors"] == {"FieldCountMismatch": 1}
+    assert reports[1]["parse_errors"] == {}
+    assert reports[0]["filtered_out"] == reports[1]["filtered_out"] == 1
+
+
+def _failing_run(case, tmp_path, log, tax):
+    """argv of one failing run and the output path it must not create."""
+    out = tmp_path / "out"
+    cluster = ["cluster", log, "--taxonomy", tax, "--out", str(out)]
+    if case == "tau-above-1":
+        return cluster + ["--tau", "1.5"], out
+    if case == "negative-sigma":
+        return ["cluster", log, "--artificial", "--sigma", "-1", "--out", str(out)], out
+    if case == "missing-out-dir":
+        out = tmp_path / "missing" / "r.tsv"
+        return ["parse", log, "--out", str(out)], out
+    if case == "out-is-a-file":
+        out.write_text("keep me\n")
+        return cluster, tmp_path / "out" / "report.json"
+    if case == "taxonomy-not-utf8":
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"Top/A\t\xff\xfe\n")
+        return ["cluster", log, "--taxonomy", str(bad), "--out", str(out)], out
+    if case == "bad-policy-status":
+        return cluster + ["--policy-status", "x"], out
+    assert case == "truncated-gzip"
+    gz = tmp_path / "log.gz"
+    with open(log, "rb") as f:
+        data = gzip.compress(f.read())
+    gz.write_bytes(data[:len(data) // 2])
+    out = tmp_path / "r.tsv"
+    return ["parse", str(gz), "--out", str(out)], out
+
+
+@pytest.mark.parametrize("case", [
+    "tau-above-1", "negative-sigma", "missing-out-dir", "out-is-a-file",
+    "taxonomy-not-utf8", "bad-policy-status", "truncated-gzip"])
+def test_failure_prints_one_error_line(case, tmp_path, capsys, sample_log_path, data_dir):
+    argv, target = _failing_run(case, tmp_path, str(sample_log_path),
+                                str(data_dir / "taxonomy.tsv"))
+    code, _, stderr = run(capsys, *argv)
+    assert code == 1
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error:")
+    assert list(tmp_path.rglob(".tmp-*~")) == []
+    assert not target.exists()
+    if case == "out-is-a-file":
+        assert (tmp_path / "out").read_text() == "keep me\n"
