@@ -3,9 +3,9 @@
 Streaming parser for proxy/web-server access logs in CLF
 (``host ident authuser [date] "request" status bytes``), with per-line
 error recovery: a bad line yields a typed error value instead of aborting
-the file. Also provides the inverse serializer, a gzip-aware file opener
-and a method/status filter for restricting records to page fetches worth
-mining.
+the file. Also provides the inverse serializer, the records-TSV row
+format (read under the same field rules), a gzip-aware file opener and a
+method/status filter for restricting records to page fetches worth mining.
 
 All functions here are pure and safe for concurrent use.
 """
@@ -121,6 +121,10 @@ _TOKEN_RE = re.compile(r'(\[[^\]]*\]|"(?:[^"\\]|\\.)*"|([\["]).*|[^ \t]+)', re.D
 # every parseable resource re-serializable.
 _UNESCAPED_SPACE_RE = re.compile(r"(?<!\\) ")
 
+# Header row of the records TSV that ``commdir parse`` writes.
+RECORDS_HEADER = ("# host\tident\tauthuser\ttimestamp\tmethod\tresource"
+                  "\tprotocol\tstatus\tbytes")
+
 
 def _tz_from_offset(s: str) -> timezone | None:
     tz = _TZ_CACHE.get(s)
@@ -204,6 +208,8 @@ def _build(host: str, ident: str, authuser: str, datestr: str,
 
 
 def _split_request(request: str) -> list[str]:
+    if "\t" in request:
+        return []  # no valid request: a raw tab would split its records-TSV row
     if "\\" in request:
         return _UNESCAPED_SPACE_RE.split(request)
     return request.split(" ")
@@ -296,6 +302,34 @@ def format_record(rec: LogRecord) -> str:
             f" {rec.status} {'-' if rec.bytes is None else rec.bytes}")
 
 
+def record_tsv_line(rec: LogRecord) -> str:
+    """Serialize to one records-TSV row (columns of RECORDS_HEADER)."""
+    return "\t".join((
+        rec.host,
+        rec.ident or "-",
+        rec.authuser or "-",
+        format_timestamp(rec.timestamp),
+        rec.method,
+        rec.resource,
+        rec.protocol,
+        str(rec.status),
+        "-" if rec.bytes is None else str(rec.bytes),
+    ))
+
+
+def record_from_tsv_line(line: str, lineno: int) -> LogRecord:
+    """Inverse of record_tsv_line, under the field rules of a CLF line.
+
+    Raises ValueError naming the line number and the ParseReason.
+    """
+    cols = line.split("\t")
+    result = (_build(cols[0], cols[1], cols[2], cols[3], cols[4:7], cols[7], cols[8], line)
+              if len(cols) == 9 else ParseError(ParseReason.FIELD_COUNT_MISMATCH, line))
+    if type(result) is ParseError:
+        raise ValueError(f"records file line {lineno}: {result.reason.value}")
+    return result
+
+
 def open_log(path) -> IO[str]:
     """Open a log file for text reading, transparently decompressing gzip.
 
@@ -310,5 +344,7 @@ def open_log(path) -> IO[str]:
         f.close()
         raise
     if magic == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=f), encoding="latin-1", newline="")
+        # A GzipFile never closes a fileobj it is given, so it opens the path itself.
+        f.close()
+        f = gzip.open(path)
     return io.TextIOWrapper(f, encoding="latin-1", newline="")

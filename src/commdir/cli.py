@@ -33,10 +33,6 @@ EXIT_USAGE = 1
 EXIT_EMPTY = 2
 EXIT_EXPLOSION = 3
 
-RECORDS_HEADER = ("# host\tident\tauthuser\ttimestamp\tmethod\tresource"
-                  "\tprotocol\tstatus\tbytes")
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; 2 means "no records" here.
     # Like every other failure, bad usage is reported on one "error:" line.
@@ -77,38 +73,6 @@ def atomic_write(path: str, text: str) -> None:
         f.write(text)
 
 
-def record_tsv_line(rec: LogRecord) -> str:
-    return "\t".join((
-        rec.host,
-        rec.ident or "-",
-        rec.authuser or "-",
-        clf.format_timestamp(rec.timestamp),
-        rec.method,
-        rec.resource,
-        rec.protocol,
-        str(rec.status),
-        "-" if rec.bytes is None else str(rec.bytes),
-    ))
-
-
-def record_from_tsv_line(line: str, lineno: int) -> LogRecord:
-    cols = line.split("\t")
-    if len(cols) != 9:
-        raise ValueError(f"records file line {lineno}: expected 9 columns, got {len(cols)}")
-    ts = clf.parse_timestamp(cols[3])
-    if ts is None:
-        raise ValueError(f"records file line {lineno}: bad timestamp {cols[3]!r}")
-    try:
-        status = int(cols[7])
-        nbytes = None if cols[8] == "-" else int(cols[8])
-    except ValueError:
-        raise ValueError(f"records file line {lineno}: bad status/bytes") from None
-    return LogRecord(cols[0],
-                     None if cols[1] == "-" else cols[1],
-                     None if cols[2] == "-" else cols[2],
-                     ts, cols[4], cols[5], cols[6], status, nbytes)
-
-
 def read_records(path: str) -> tuple[list[LogRecord], Counter]:
     """Read either a raw CLF log or a ``parse``-produced records TSV.
 
@@ -124,7 +88,7 @@ def read_records(path: str) -> tuple[list[LogRecord], Counter]:
                 line = raw.rstrip("\r\n")
                 if not line or line.startswith("#"):
                     continue
-                records.append(record_from_tsv_line(line, lineno))
+                records.append(clf.record_from_tsv_line(line, lineno))
             return records, errors
         records = []
         for outcome in clf.parse_stream(itertools.chain([first], f)):
@@ -164,12 +128,12 @@ def cmd_parse(args) -> int:
     errors: Counter = Counter()
     with stream, (atomic_writer(args.out) if args.out
                   else contextlib.nullcontext(sys.stdout)) as out:
-        out.write(RECORDS_HEADER + "\n")
+        out.write(clf.RECORDS_HEADER + "\n")
         for outcome in clf.parse_stream(stream):
             lines += 1
             if outcome.ok:
                 records += 1
-                out.write(record_tsv_line(outcome.result) + "\n")
+                out.write(clf.record_tsv_line(outcome.result) + "\n")
             else:
                 errors[outcome.result.reason.value] += 1
     total_errors = sum(errors.values())
@@ -292,12 +256,18 @@ def cmd_taxonomy(args) -> int:
     return EXIT_OK
 
 
-def _unit_interval(text: str) -> float:
-    """argparse type of --tau and --theta: a number in [0, 1]."""
-    with contextlib.suppress(ValueError):
-        if 0.0 <= float(text) <= 1.0:
-            return float(text)
-    raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+def _number(kind: type, low: float, high: float, what: str):
+    """argparse type: a ``kind`` value in [low, high] (so never NaN), described as ``what``."""
+    def convert(text: str):
+        with contextlib.suppress(ValueError):
+            value = kind(text)
+            if low <= value <= high:
+                return value
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return convert
+
+
+_unit_interval = _number(float, 0.0, 1.0, "a number in [0, 1]")
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
@@ -331,13 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--taxonomy", help="taxonomy file to classify against")
     group.add_argument("--artificial", action="store_true",
                        help="build an artificial taxonomy from the log itself")
-    p.add_argument("--sigma", type=float, default=artificial.DEFAULT_SIGMA,
+    p.add_argument("--sigma", default=artificial.DEFAULT_SIGMA,
+                   type=_number(float, 0.0, sys.float_info.max, "a finite number >= 0"),
                    help="site-clustering Jaccard threshold for --artificial")
     p.add_argument("--tau", type=_unit_interval, default=community.DEFAULT_TAU,
                    help="user-similarity edge threshold")
     p.add_argument("--theta", type=_unit_interval, default=community.DEFAULT_THETA,
                    help="category score selection threshold")
-    p.add_argument("--min-size", type=int, default=community.DEFAULT_MIN_SIZE,
+    p.add_argument("--min-size", default=community.DEFAULT_MIN_SIZE,
+                   type=_number(int, 1, sys.maxsize, "an integer >= 1"),
                    help="smallest community to keep")
     p.add_argument("--keep-singletons", action="store_true",
                    help="emit isolated users as singleton communities")

@@ -103,31 +103,33 @@ def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,
 
     Isolated vertices (maximal cliques of size 1) are included when
     ``keep_singletons`` is set even if min_size is larger. Output is
-    canonically ordered, so it is independent of input and recursion order.
+    canonically ordered, so it is independent of input and search order.
     Raises ExplosionGuardError once more than ``clique_cap`` maximal cliques
     exist.
     """
     adj = graph.adjacency
     found: list[frozenset[str]] = []
 
-    def expand(r: frozenset[str], p: set[str], x: set[str]) -> None:
-        if not p and not x:
-            found.append(r)
-            if len(found) > clique_cap:
-                raise ExplosionGuardError(clique_cap)
-            return
-        pivot, best = None, -1
-        for cand in p | x:
-            deg = len(adj[cand] & p)
-            if deg > best:
-                pivot, best = cand, deg
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
+    def frame(r: frozenset[str], p: set[str], x: set[str]):
+        pivot = max(p | x, key=lambda u: len(adj[u] & p))
+        return r, p, x, iter(sorted(p - adj[pivot]))
+
+    # Bron-Kerbosch with Tomita's pivot on an explicit stack, free of the recursion limit.
+    stack = [frame(frozenset(), set(graph.vertices), set())] if graph.vertices else []
+    while stack:
+        r, p, x, todo = stack[-1]
+        for v in todo:
+            rv, pv, xv = r | {v}, p & adj[v], x & adj[v]
             p.remove(v)
             x.add(v)
-
-    if graph.vertices:
-        expand(frozenset(), set(graph.vertices), set())
+            if pv or xv:
+                stack.append(frame(rv, pv, xv))
+                break
+            found.append(rv)
+            if len(found) > clique_cap:
+                raise ExplosionGuardError(clique_cap)
+        else:
+            stack.pop()
     kept = [c for c in found
             if len(c) >= min_size or (keep_singletons and len(c) == 1)]
     return sorted(tuple(sorted(c)) for c in kept)
@@ -143,13 +145,14 @@ def community_profile(members: Iterable[str], vectors: Iterable[UsageVector]) ->
     return Community(member_list, dict(sorted(profile.items())), sum(profile.values()))
 
 
-def score_category(path: str, community: Community, tax: Taxonomy) -> float:
-    """Informativeness x interest: weight(path) * subtree-hit fraction."""
-    weight = tax.categories[path].weight
-    prefix = path + "/"
-    hits = sum(n for cat, n in community.profile.items()
-               if cat == path or cat.startswith(prefix))
-    return weight * (hits / community.total)
+def category_scores(community: Community, tax: Taxonomy) -> dict[str, float]:
+    """weight(path) * fraction of the community's hits in path's subtree, per category."""
+    hits: Counter = Counter()
+    for cat, n in community.profile.items():
+        for path in (*ancestors(cat), cat):
+            hits[path] += n
+    return {path: c.weight * (hits[path] / community.total)
+            for path, c in tax.categories.items()}
 
 
 def build_community_directory(tax: Taxonomy, community: Community,
@@ -162,7 +165,7 @@ def build_community_directory(tax: Taxonomy, community: Community,
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1]: {theta!r}")
-    scores = {path: score_category(path, community, tax) for path in tax.paths}
+    scores = category_scores(community, tax)
     selected: dict[str, float] = {}
     for path, score in scores.items():
         if score >= theta:

@@ -66,11 +66,8 @@ def build_report(full: Taxonomy, directories: Sequence[CommunityDirectory],
             "coverage": coverage(cdir, com),
             "unspecified_fraction": unspecified_fraction(com),
         })
-    overlap = [
-        [len(set(a.community.members) & set(b.community.members))
-         for b in directories]
-        for a in directories
-    ]
+    member_sets = [set(cdir.community.members) for cdir in directories]
+    overlap = [[len(a & b) for b in member_sets] for a in member_sets]
     n = len(rows)
     total_hits = sum(v.total for v in vectors)
     unspecified_hits = sum(v.counts.get(UNSPECIFIED, 0) for v in vectors)

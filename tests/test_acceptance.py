@@ -18,9 +18,9 @@ from commdir.community import (
     SimilarityGraph,
     build_community_directory,
     build_graph,
+    category_scores,
     community_profile,
     find_communities,
-    score_category,
 )
 from commdir.artificial import SiteProfile, cluster_sites
 from commdir.metrics import coverage, shrinkage
@@ -48,7 +48,7 @@ def test_golden_parse_of_sample_log(sample_log_path, data_dir):
         if not line.startswith("#")
     ]
     assert len(golden_rows) == 13
-    from commdir.cli import record_tsv_line
+    from commdir.clf import record_tsv_line
     for outcome, row in zip(outcomes, golden_rows):
         assert record_tsv_line(outcome.result).split("\t") == row
     assert elapsed < 1.0
@@ -150,9 +150,9 @@ def test_directory_invariants_randomized():
         scaled = Community(com.members,
                            {c: k * n for c, n in com.profile.items()},
                            k * com.total)
+        scores, scaled_scores = category_scores(com, tax), category_scores(scaled, tax)
         for path in tax.paths:
-            assert abs(score_category(path, com, tax)
-                       - score_category(path, scaled, tax)) <= 1e-12
+            assert abs(scores[path] - scaled_scores[path]) <= 1e-12
     record_pass("directory invariants: closure, theta monotonicity, theta=0 "
                 "completeness, scale invariance <= 1e-12 (60 random instances)")
 

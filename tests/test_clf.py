@@ -1,6 +1,9 @@
+import gc
 import gzip
 import io
 import random
+import sys
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -66,10 +69,16 @@ def test_status_out_of_range_is_bad_status():
     ('"a b" - - [10/Oct/2000:13:55:36 -0700] "GET /a HTTP/1.0" 200 -', ParseReason.FIELD_COUNT_MISMATCH),
     ('1.2.3.4 - - [10/Oct/2000:13:55:36 -0700 "GET /a HTTP/1.0" 200 -', ParseReason.MALFORMED_DATE),
     ('1.2.3.4 - - [10/Oct/2000:13:55:36 -0700] "GET /a HTTP/1.0\\" 200 -', ParseReason.MALFORMED_REQUEST),
+    ('1.2.3.4 - - [10/Oct/2000:13:55:36 -0700] "GET /www.a.com/x\tb.html HTTP/1.0" 200 -',
+     ParseReason.MALFORMED_REQUEST),
+    ('1.2.3.4 - - [10/Oct/2000:13:55:36 -0700] "GET /a\\ b\tc HTTP/1.0" 200 -',
+     ParseReason.MALFORMED_REQUEST),
+    ('1.2.3.4 - - [bad] "GET /a\tb HTTP/1.0" 200 -', ParseReason.MALFORMED_DATE),
 ], ids=["garbage", "bad-date", "dash-request", "two-token-request",
         "alpha-status", "negative-bytes", "alpha-bytes", "trailing-field",
         "missing-field", "leading-blank", "quoted-host", "unterminated-date",
-        "unterminated-request"])
+        "unterminated-request", "tab-in-request", "tab-in-escaped-request",
+        "bad-date-before-tab-in-request"])
 def test_error_reasons(line, reason):
     err = parse_line(line)
     assert isinstance(err, ParseError)
@@ -176,6 +185,21 @@ def test_open_log_gzip_magic(tmp_path, sample_log_path):
     with open_log(gz) as f:
         outcomes = list(parse_stream(f))
     assert len(outcomes) == 13 and all(o.ok for o in outcomes)
+
+
+def test_open_log_gzip_closes_the_raw_file(tmp_path, sample_log_path, monkeypatch):
+    gz = tmp_path / "access.log.gz"
+    gz.write_bytes(gzip.compress(sample_log_path.read_bytes()))
+    # A file left open warns from its finalizer, where an error is "unraisable".
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with open_log(gz) as f:
+            assert f.read() == sample_log_path.read_text(encoding="latin-1")
+        del f
+        gc.collect()
+    assert unraisable == []
 
 
 def test_filter_default_policy_keeps_sample(sample_records):

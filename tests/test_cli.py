@@ -270,11 +270,48 @@ def test_usage_error_exits_1(capsys, tmp_path, sample_log_path, data_dir):
     assert run(capsys, "taxonomy", "add", "whatever.tsv")[0] == 1
     cluster = ["cluster", str(sample_log_path), "--taxonomy", str(data_dir / "taxonomy.tsv"),
                "--out", str(tmp_path / "o")]
-    for flag, value in (("--tau", "1.5"), ("--theta", "-1"), ("--tau", "nan"),
-                        ("--theta", "x")):
-        code, _, stderr = run(capsys, *cluster, flag, value)
+    artificial = ["cluster", str(sample_log_path), "--artificial", "--out", str(tmp_path / "o")]
+    for argv, flag, value in ((cluster, "--tau", "1.5"), (cluster, "--theta", "-1"),
+                              (cluster, "--tau", "nan"), (cluster, "--theta", "x"),
+                              (cluster, "--min-size", "-5"), (cluster, "--min-size", "0"),
+                              (cluster, "--min-size", "1.5"), (artificial, "--sigma", "nan"),
+                              (artificial, "--sigma", "inf"), (artificial, "--sigma", "-1")):
+        code, _, stderr = run(capsys, *argv, flag, value)
         assert code == 1 and flag in stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("column,value,reason", [
+    (7, "2_00", "BadStatus"), (7, " 200", "BadStatus"), (7, "+200", "BadStatus"),
+    (7, "999", "BadStatus"), (8, "-3", "BadBytes"), (8, "1_0", "BadBytes"),
+    (3, "10/Oct/2000", "MalformedDate"), (4, "", "MalformedRequest"),
+])
+def test_records_tsv_rows_follow_clf_field_rules(column, value, reason, tmp_path, capsys,
+                                                 sample_log_path):
+    records = tmp_path / "records.tsv"
+    run(capsys, "parse", str(sample_log_path), "--out", str(records))
+    lines = records.read_text().splitlines()
+    cols = lines[3].split("\t")
+    cols[column] = value
+    lines[3] = "\t".join(cols)
+    records.write_text("\n".join(lines) + "\n")
+    code, _, stderr = run(capsys, "sites", str(records))
+    assert code == 1
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error:")
+    assert stderr.rstrip().endswith(f"records file line 4: {reason}")
+
+
+def test_parse_output_with_tab_in_request_reads_back(tmp_path, capsys, sample_log_path,
+                                                     data_dir):
+    log = tmp_path / "tab.log"
+    log.write_text(sample_log_path.read_text() + '1.1.1.1 - - [10/Oct/2000:13:55:36 -0700]'
+                   ' "GET /www.a.com/x\tb.html HTTP/1.0" 200 -\n')
+    records = tmp_path / "records.tsv"
+    code, stdout, _ = run(capsys, "parse", str(log), "--out", str(records))
+    assert code == 0 and "(MalformedRequest: 1)" in stdout
+    assert run(capsys, "sites", str(records))[0] == 0
+    assert run(capsys, "cluster", str(records), "--taxonomy", str(data_dir / "taxonomy.tsv"),
+               "--out", str(tmp_path / "o"))[0] == 0
 
 
 def test_cluster_report_counts_parse_errors_and_filtered(tmp_path, capsys,

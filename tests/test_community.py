@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -10,14 +12,14 @@ from commdir.community import (
     SimilarityGraph,
     build_community_directory,
     build_graph,
+    category_scores,
     community_profile,
     directory_doc,
     directory_text,
     find_communities,
-    score_category,
     similarity,
 )
-from commdir.taxonomy import ancestors
+from commdir.taxonomy import ancestors, make_taxonomy
 
 
 def vec(user, counts):
@@ -127,6 +129,20 @@ def test_explosion_guard_trips():
     assert len(find_communities(g, min_size=1, clique_cap=27)) == 27
 
 
+def test_large_clique_search_is_not_bounded_by_recursion_limit():
+    vertices = tuple(f"v{i:03d}" for i in range(400))
+    everyone = frozenset(vertices)
+    g = SimilarityGraph(vertices, {v: everyone - {v} for v in vertices}, 0.0)
+    limit = sys.getrecursionlimit()
+    # Far less headroom than one frame per clique member would need.
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        found = find_communities(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == [vertices]
+
+
 def test_cliques_match_brute_force_on_random_graphs():
     rng = random.Random(2024)
     for _ in range(40):
@@ -148,24 +164,51 @@ def test_community_profile_sums_members():
 
 def test_score_all_hits_full_weight(fixture_taxonomy):
     com = Community(("u",), {"Top/Computers/XML": 5}, 5)
-    assert score_category("Top/Computers/XML", com, fixture_taxonomy) == 1.0
+    assert category_scores(com, fixture_taxonomy)["Top/Computers/XML"] == 1.0
 
 
 def test_score_zero_when_no_subtree_hits(fixture_taxonomy):
     com = Community(("u",), {"Top/Search": 5}, 5)
-    assert score_category("Top/Computers/XML", com, fixture_taxonomy) == 0.0
+    assert category_scores(com, fixture_taxonomy)["Top/Computers/XML"] == 0.0
 
 
 def test_score_half_weight_half_interest(fixture_taxonomy):
     # Top/Search has depth-default weight 0.5; 6 of 12 hits inside
     com = Community(("u",), {"Top/Search": 6, UNSPECIFIED: 6}, 12)
-    assert score_category("Top/Search", com, fixture_taxonomy) == 0.25
+    assert category_scores(com, fixture_taxonomy)["Top/Search"] == 0.25
 
 
 def test_score_aggregates_subtree(fixture_taxonomy):
     com = Community(("u",), {"Top/Computers/XML": 1, "Top/Computers/HTML": 1}, 2)
-    assert score_category("Top/Computers", com, fixture_taxonomy) == \
+    assert category_scores(com, fixture_taxonomy)["Top/Computers"] == \
         pytest.approx(0.5 * 1.0)
+
+
+def prefix_scan_score(path, community, tax):
+    """Reference: weight times the hits of every profile key under path's prefix."""
+    hits = sum(n for cat, n in community.profile.items()
+               if cat == path or cat.startswith(path + "/"))
+    return tax.categories[path].weight * (hits / community.total)
+
+
+def test_category_scores_match_prefix_scan():
+    rng = random.Random(4242)
+    for _ in range(300):
+        entries = {"Top": ((), rng.choice([None, rng.random()]))}
+        for _ in range(rng.randint(1, 15)):
+            segments = [f"c{rng.randint(0, 4)}" for _ in range(rng.randint(1, 4))]
+            weight = rng.choice([None, rng.random()])
+            entries["/".join(["Top"] + segments)] = ((), weight)
+        tax = make_taxonomy(entries)
+        # Keys outside the taxonomy: unspecified, unknown children of known
+        # categories, look-alike prefixes and other roots.
+        keys = list(tax.paths) + [UNSPECIFIED, "Top/c1/zz", "Top/c", "Top/c1x",
+                                  "Topx/c1", "Other/c1", "Top/", "Top//c1"]
+        profile = {k: rng.randint(1, 20)
+                   for k in rng.sample(keys, rng.randint(1, len(keys)))}
+        com = Community(("u",), profile, sum(profile.values()))
+        assert category_scores(com, tax) == \
+            {path: prefix_scan_score(path, com, tax) for path in tax.paths}
 
 
 def test_directory_theta_zero_selects_everything(sample_records, fixture_taxonomy):
@@ -221,9 +264,11 @@ def test_scores_invariant_under_profile_scaling(fixture_taxonomy):
     profile = {"Top/Computers/XML": 3, "Top/Search": 2, UNSPECIFIED: 1}
     com = Community(("u",), profile, 6)
     scaled = Community(("u",), {k: 7 * v for k, v in profile.items()}, 42)
+    scores = category_scores(com, fixture_taxonomy)
+    scaled_scores = category_scores(scaled, fixture_taxonomy)
+    assert scores.keys() == scaled_scores.keys() == set(fixture_taxonomy.paths)
     for path in fixture_taxonomy.paths:
-        assert score_category(path, com, fixture_taxonomy) == \
-            pytest.approx(score_category(path, scaled, fixture_taxonomy), abs=1e-12)
+        assert scores[path] == pytest.approx(scaled_scores[path], abs=1e-12)
 
 
 def test_directory_renderings_deterministic(sample_records, fixture_taxonomy):
