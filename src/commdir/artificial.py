@@ -1,9 +1,10 @@
 """Artificial web directory built by clustering the sites seen in a log.
 
 When no curated taxonomy exists, sites are profiled by the URL tokens of
-their logged pages and grouped by single-linkage agglomerative clustering
-over Jaccard similarity of those token sets: clusters keep merging while
-any cross-cluster site pair is at least sigma-similar. The result is a
+their logged pages and grouped by single-linkage clustering over Jaccard
+similarity of those token sets: a cluster is a connected component of the
+graph whose edges join the site pairs at least sigma-similar (the same
+threshold join that links similar users into communities). The result is a
 two-level taxonomy (cluster -> member sites) usable by every downstream
 stage, with top-token keyword summaries and depth-defaulted weights.
 """
@@ -14,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .community import threshold_join
 from .taxonomy import ROOT, Taxonomy, make_taxonomy
 from .urls import PageRef, tokenize
 
@@ -55,44 +57,27 @@ def jaccard(a: set, b: set) -> float:
 def cluster_sites(profiles: Sequence[SiteProfile], sigma: float = DEFAULT_SIGMA) -> list[tuple[str, ...]]:
     """Single-linkage clusters over Jaccard similarity of site token sets.
 
-    Merging stops when no cross-cluster pair reaches sigma, i.e. clusters
-    are the connected components of the >=sigma similarity graph, so the
-    partition at a higher sigma always refines the one at a lower sigma.
-    Merge order (similarity desc, site pair asc) and output (sorted tuples,
-    sorted) are deterministic. sigma > 1 is allowed and yields singletons.
+    Clusters are the connected components of the >=sigma similarity graph,
+    so the partition at a higher sigma always refines the one at a lower
+    sigma. Output is sorted tuples of sorted sites. sigma > 1 is allowed
+    and yields singletons.
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0: {sigma!r}")
-    token_sets = {p.site: set(p.tokens) for p in profiles}
-    sites = sorted(token_sets)
-    parent = {s: s for s in sites}
-
-    def find(s: str) -> str:
-        root = s
-        while parent[root] != root:
-            root = parent[root]
-        while parent[s] != root:
-            parent[s], s = root, parent[s]
-        return root
-
-    mergeable = []
-    for i, a in enumerate(sites):
-        for b in sites[i + 1:]:
-            sim = jaccard(token_sets[a], token_sets[b])
-            if sim >= sigma:
-                mergeable.append((-sim, a, b))
-    mergeable.sort()
-    for _, a, b in mergeable:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # keep the lexicographically smaller site as representative
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-    blocks: dict[str, list[str]] = {}
-    for site in sites:
-        blocks.setdefault(find(site), []).append(site)
-    return sorted(tuple(sorted(b)) for b in blocks.values())
+    adj = threshold_join({p.site: set(p.tokens) for p in profiles}, jaccard, sigma)
+    clusters: list[tuple[str, ...]] = []
+    seen: set[str] = set()
+    for site in adj:
+        if site in seen:
+            continue
+        block, todo = {site}, [site]
+        while todo:
+            new = adj[todo.pop()] - block
+            block |= new
+            todo.extend(new)
+        seen |= block
+        clusters.append(tuple(sorted(block)))
+    return sorted(clusters)
 
 
 def _top_tokens(tokens: Counter, n: int = _KEYWORDS_PER_CATEGORY) -> tuple[str, ...]:

@@ -155,6 +155,9 @@ def parse_timestamp(s: str) -> datetime | None:
     tz = _tz_from_offset(s[21:])
     if tz is None:
         return None
+    digits = s[0:2] + s[7:11] + s[12:14] + s[15:17] + s[18:20]
+    if not (digits.isascii() and digits.isdigit()):
+        return None  # int() would also take a sign, "_" or a blank
     try:
         dt = datetime(int(s[7:11]), month, int(s[0:2]),
                       int(s[12:14]), int(s[15:17]), int(s[18:20]), tzinfo=tz)
@@ -324,7 +327,8 @@ def record_from_tsv_line(line: str, lineno: int) -> LogRecord:
     """
     cols = line.split("\t")
     result = (_build(cols[0], cols[1], cols[2], cols[3], cols[4:7], cols[7], cols[8], line)
-              if len(cols) == 9 else ParseError(ParseReason.FIELD_COUNT_MISMATCH, line))
+              if len(cols) == 9 and cols[0] and cols[1] and cols[2]
+              else ParseError(ParseReason.FIELD_COUNT_MISMATCH, line))
     if type(result) is ParseError:
         raise ValueError(f"records file line {lineno}: {result.reason.value}")
     return result

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .classify import UsageVector
 from .taxonomy import ROOT, Taxonomy, ancestors
@@ -23,6 +23,8 @@ DEFAULT_TAU = 0.5
 DEFAULT_THETA = 0.1
 DEFAULT_MIN_SIZE = 2
 DEFAULT_CLIQUE_CAP = 1_000_000
+
+T = TypeVar("T")
 
 
 class ExplosionGuardError(RuntimeError):
@@ -79,21 +81,29 @@ def similarity(u: UsageVector, v: UsageVector) -> float:
     return min(1.0, dot / math.sqrt(na * nb))
 
 
+def threshold_join(items: Mapping[str, T], sim: Callable[[T, T], float],
+                   threshold: float) -> dict[str, frozenset[str]]:
+    """Adjacency of the id pairs whose similarity reaches threshold, keys in sorted order."""
+    pairs = sorted(items.items())
+    adj: dict[str, set[str]] = {k: set() for k, _ in pairs}
+    for i, (a, x) in enumerate(pairs):
+        for b, y in pairs[i + 1:]:
+            if sim(x, y) >= threshold:
+                adj[a].add(b)
+                adj[b].add(a)
+    return {k: frozenset(n) for k, n in adj.items()}
+
+
 def build_graph(vectors: Iterable[UsageVector], tau: float = DEFAULT_TAU) -> SimilarityGraph:
     """Graph with an edge wherever pairwise similarity reaches tau."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1]: {tau!r}")
-    vecs = sorted(vectors, key=lambda v: v.user)
-    users = tuple(v.user for v in vecs)
-    if len(set(users)) != len(users):
+    vecs = list(vectors)
+    by_user = {v.user: v for v in vecs}
+    if len(by_user) != len(vecs):
         raise ValueError("duplicate user ids in vectors")
-    adj: dict[str, set[str]] = {u: set() for u in users}
-    for i, u in enumerate(vecs):
-        for v in vecs[i + 1:]:
-            if similarity(u, v) >= tau:
-                adj[u.user].add(v.user)
-                adj[v.user].add(u.user)
-    return SimilarityGraph(users, {u: frozenset(n) for u, n in adj.items()}, tau)
+    adj = threshold_join(by_user, similarity, tau)
+    return SimilarityGraph(tuple(adj), adj, tau)
 
 
 def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,

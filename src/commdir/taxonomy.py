@@ -23,6 +23,9 @@ from functools import cached_property
 from typing import IO, Iterable, Iterator, Mapping
 
 ROOT = "Top"
+# Deepest category path accepted; rendering a directory recurses once per
+# level, so far deeper paths would meet Python's recursion limit.
+MAX_DEPTH = 256
 
 
 class TaxonomyError(ValueError):
@@ -138,6 +141,8 @@ def _validate_path(path: str) -> None:
         raise InvalidPathError(f"category path must be rooted at {ROOT!r}: {path!r}")
     if any(not seg for seg in path.split("/")):
         raise InvalidPathError(f"category path has empty segment: {path!r}")
+    if depth(path) > MAX_DEPTH:
+        raise InvalidPathError(f"category path is {depth(path)} levels deep, more than {MAX_DEPTH}")
 
 
 def make_taxonomy(entries: Mapping[str, tuple[Iterable[str], float | None]]) -> Taxonomy:

@@ -64,12 +64,11 @@ def extract_page_ref(resource: str) -> PageRef:
     The first segment becomes the site iff it satisfies the hostname
     grammar; the last segment is the page ("" for directory URLs); segments
     in between are the directories. Everything is lowercased once here and
-    the query stripped first. A bare "/" yields the empty local reference.
+    the query stripped first. Leading slashes are dropped, so a bare "/"
+    yields the empty local reference and "//a.com" names the site a.com.
     """
     raw = resource
-    path = strip_query(resource).lower()
-    if path.startswith("/"):
-        path = path[1:]
+    path = strip_query(resource).lower().lstrip("/")
     if not path:
         return PageRef(None, (), "", raw)
     segments = path.split("/")
@@ -99,22 +98,9 @@ def tokenize(ref: PageRef) -> Counter:
     extension removed. Only the last site label is treated as suffix, so
     ``co`` survives in ``google.co.in``.
     """
-    tokens: Counter = Counter()
-    if ref.site:
-        labels = ref.site.lower().split(".")
-        if labels[0] == "www":
-            labels = labels[1:]
-        for label in labels[:-1]:
-            for part in _TOKEN_SPLIT.split(label):
-                if part:
-                    tokens[part] += 1
-    for segment in ref.directories:
-        for part in _TOKEN_SPLIT.split(segment.lower()):
-            if part:
-                tokens[part] += 1
-    if ref.page:
-        stem = ref.page.rsplit(".", 1)[0] if "." in ref.page else ref.page
-        for part in _TOKEN_SPLIT.split(stem.lower()):
-            if part:
-                tokens[part] += 1
-    return tokens
+    labels = ref.site.lower().split(".") if ref.site else []
+    if labels[:1] == ["www"]:
+        labels = labels[1:]
+    stem = ref.page.rsplit(".", 1)[0]
+    text = " ".join([*labels[:-1], *ref.directories, stem]).lower()
+    return Counter(filter(None, _TOKEN_SPLIT.split(text)))

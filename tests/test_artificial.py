@@ -97,6 +97,43 @@ def test_higher_sigma_refines_partition():
             assert len({block_of[s] for s in block}) == 1
 
 
+def union_find_clusters(profiles, sigma):
+    """Reference: single linkage by union-find over pairs merged in similarity order."""
+    token_sets = {p.site: set(p.tokens) for p in profiles}
+    sites = sorted(token_sets)
+    parent = {s: s for s in sites}
+
+    def find(s):
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    mergeable = sorted((-jaccard(token_sets[a], token_sets[b]), a, b)
+                       for i, a in enumerate(sites) for b in sites[i + 1:]
+                       if jaccard(token_sets[a], token_sets[b]) >= sigma)
+    for _, a, b in mergeable:
+        ra, rb = sorted((find(a), find(b)))
+        parent[rb] = ra
+    blocks = {}
+    for site in sites:
+        blocks.setdefault(find(site), []).append(site)
+    return sorted(tuple(sorted(b)) for b in blocks.values())
+
+
+def test_clusters_match_union_find_reference():
+    rng = random.Random(41)
+    merged = 0
+    for _ in range(200):
+        # empty token sets are frequent: two of them are 1.0-similar
+        profiles = [profile(f"s{i}.net", rng.sample("abcdefg", rng.randint(0, 4)))
+                    for i in range(rng.randint(0, 14))]
+        for sigma in (0.0, rng.random(), 0.5, 1.0, 1.5):
+            expected = union_find_clusters(profiles, sigma)
+            assert cluster_sites(rng.sample(profiles, len(profiles)), sigma) == expected
+            merged += len(expected) < len(profiles)
+    assert merged > 200
+
+
 def test_artificial_directory_structure(sample_records):
     refs = [extract_page_ref(r.resource) for r in sample_records]
     profiles = profile_sites(refs)

@@ -74,11 +74,15 @@ def test_status_out_of_range_is_bad_status():
     ('1.2.3.4 - - [10/Oct/2000:13:55:36 -0700] "GET /a\\ b\tc HTTP/1.0" 200 -',
      ParseReason.MALFORMED_REQUEST),
     ('1.2.3.4 - - [bad] "GET /a\tb HTTP/1.0" 200 -', ParseReason.MALFORMED_DATE),
+    ('1.2.3.4 - - [+1/Oct/2000:13:55:36 -0700] "GET /a HTTP/1.0" 200 -', ParseReason.MALFORMED_DATE),
+    ('1.2.3.4 - - [10/Oct/2_00:13:55:36 -0700] "GET /a HTTP/1.0" 200 -', ParseReason.MALFORMED_DATE),
+    ('1.2.3.4 - - [10/Oct/2000: 3:55:36 -0700] "GET /a HTTP/1.0" 200 -', ParseReason.MALFORMED_DATE),
 ], ids=["garbage", "bad-date", "dash-request", "two-token-request",
         "alpha-status", "negative-bytes", "alpha-bytes", "trailing-field",
         "missing-field", "leading-blank", "quoted-host", "unterminated-date",
         "unterminated-request", "tab-in-request", "tab-in-escaped-request",
-        "bad-date-before-tab-in-request"])
+        "bad-date-before-tab-in-request", "signed-day", "underscore-year",
+        "blank-padded-hour"])
 def test_error_reasons(line, reason):
     err = parse_line(line)
     assert isinstance(err, ParseError)
@@ -122,7 +126,8 @@ def test_timestamp_keeps_logged_offset():
 def test_parse_timestamp_rejects_malformed():
     for s in ["", "10/Oct/2000:13:55:36", "10/Xxx/2000:13:55:36 -0700",
               "99/Oct/2000:13:55:36 -0700", "10/Oct/2000:13:55:36 -07a0",
-              "10-Oct-2000:13:55:36 -0700"]:
+              "10-Oct-2000:13:55:36 -0700", "+1/Oct/2000:13:55:36 -0700",
+              "10/Oct/2_00:13:55:36 -0700", "10/Oct/2000: 3:55:36 -0700"]:
         assert parse_timestamp(s) is None
 
 

@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 from commdir.cli import main
+from commdir.taxonomy import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -178,6 +179,20 @@ def test_cluster_bad_taxonomy_exits_1(tmp_path, capsys, sample_log_path):
     assert "taxonomy" in stderr
 
 
+def test_cluster_renders_taxonomy_at_max_depth(tmp_path, capsys, sample_log_path):
+    deep = tmp_path / "deep.tsv"
+    deep.write_text("Top" + "/c" * MAX_DEPTH + "\tw3schools,xml\n")
+    code, _, _ = run(capsys, "cluster", str(sample_log_path), "--taxonomy", str(deep),
+                     "--keep-singletons", "--out", str(tmp_path / "o"))
+    assert code == 0
+    tree = json.loads((tmp_path / "o" / "community-001.json").read_text())["tree"]
+    levels = 0
+    while tree:
+        levels += 1
+        tree = tree["children"][0] if tree["children"] else None
+    assert levels == MAX_DEPTH + 1
+
+
 def test_cluster_empty_log_exits_2(tmp_path, capsys, data_dir):
     empty = tmp_path / "empty.log"
     empty.write_text("\n")
@@ -285,6 +300,7 @@ def test_usage_error_exits_1(capsys, tmp_path, sample_log_path, data_dir):
     (7, "2_00", "BadStatus"), (7, " 200", "BadStatus"), (7, "+200", "BadStatus"),
     (7, "999", "BadStatus"), (8, "-3", "BadBytes"), (8, "1_0", "BadBytes"),
     (3, "10/Oct/2000", "MalformedDate"), (4, "", "MalformedRequest"),
+    (0, "", "FieldCountMismatch"), (1, "", "FieldCountMismatch"), (2, "", "FieldCountMismatch"),
 ])
 def test_records_tsv_rows_follow_clf_field_rules(column, value, reason, tmp_path, capsys,
                                                  sample_log_path):
@@ -350,6 +366,11 @@ def _failing_run(case, tmp_path, log, tax):
         bad = tmp_path / "bad.tsv"
         bad.write_bytes(b"Top/A\t\xff\xfe\n")
         return ["cluster", log, "--taxonomy", str(bad), "--out", str(out)], out
+    if case == "taxonomy-too-deep":
+        deep = tmp_path / "deep.tsv"
+        deep.write_text("Top" + "/c" * 600 + "\tw3schools,xml\n")
+        return ["cluster", log, "--taxonomy", str(deep), "--keep-singletons",
+                "--out", str(out)], out
     if case == "bad-policy-status":
         return cluster + ["--policy-status", "x"], out
     assert case == "truncated-gzip"
@@ -363,7 +384,7 @@ def _failing_run(case, tmp_path, log, tax):
 
 @pytest.mark.parametrize("case", [
     "tau-above-1", "negative-sigma", "missing-out-dir", "out-is-a-file",
-    "taxonomy-not-utf8", "bad-policy-status", "truncated-gzip"])
+    "taxonomy-not-utf8", "taxonomy-too-deep", "bad-policy-status", "truncated-gzip"])
 def test_failure_prints_one_error_line(case, tmp_path, capsys, sample_log_path, data_dir):
     argv, target = _failing_run(case, tmp_path, str(sample_log_path),
                                 str(data_dir / "taxonomy.tsv"))

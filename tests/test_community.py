@@ -154,6 +154,23 @@ def test_cliques_match_brute_force_on_random_graphs():
         assert find_communities(g, min_size=1) == brute_force_maximal_cliques(g)
 
 
+def test_build_graph_matches_brute_force_similarity():
+    rng = random.Random(12)
+    cats = ["Top/A", "Top/B", "Top/C", "Top/D", UNSPECIFIED]
+    for _ in range(60):
+        vectors = [vec(f"u{i}", {c: rng.randint(1, 4) for c in rng.sample(cats, rng.randint(0, 3))})
+                   for i in range(rng.randint(0, 12))]
+        for tau in (0.0, rng.random(), 0.5, 1.0):
+            adj = {v.user: set() for v in vectors}
+            for a, b in itertools.combinations(vectors, 2):
+                if similarity(a, b) >= tau:
+                    adj[a.user].add(b.user)
+                    adj[b.user].add(a.user)
+            graph = build_graph(rng.sample(vectors, len(vectors)), tau)
+            assert graph.vertices == tuple(sorted(adj)) == tuple(graph.adjacency)
+            assert graph.adjacency == adj
+
+
 def test_community_profile_sums_members():
     vectors = [vec("a", {"X": 2, UNSPECIFIED: 1}), vec("b", {"X": 1, "Y": 3})]
     com = community_profile(["b", "a"], vectors)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from commdir.taxonomy import (
+    MAX_DEPTH,
     ROOT,
     BadWeightError,
     DuplicatePathError,
@@ -67,6 +68,15 @@ def test_unrooted_path_rejected():
         load_str("Other/A\tx\n")
     with pytest.raises(InvalidPathError):
         load_str("Top//A\tx\n")
+
+
+def test_paths_deeper_than_max_depth_rejected():
+    deep = ROOT + "/c" * MAX_DEPTH
+    assert make_taxonomy({deep: ((), None)}).max_depth == MAX_DEPTH
+    with pytest.raises(InvalidPathError, match="levels deep"):
+        make_taxonomy({deep + "/c": ((), None)})
+    with pytest.raises(InvalidPathError):
+        add_or_update_category(load_str("Top\n"), deep + "/c", ["k"])
 
 
 def test_default_weights_are_depth_proportional():

@@ -1,6 +1,6 @@
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from commdir.urls import (
     PageRef,
@@ -105,6 +105,8 @@ def test_tokens_are_lowercase_alnum(path_tail):
 
 
 @given(st.text(alphabet=_RESOURCE_ALPHABET, min_size=0, max_size=40))
+@example("/0.0")  # a second leading slash used to make the site a directory
+@example("//www.a.com/x/p.html")
 def test_extract_is_idempotent(path_tail):
     ref = extract_page_ref("/" + path_tail)
     assert ref.directories == tuple(s for s in ref.directories if s)
