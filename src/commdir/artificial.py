@@ -33,14 +33,18 @@ class SiteProfile:
 
 
 def profile_sites(refs: Iterable[PageRef]) -> list[SiteProfile]:
-    """One profile per non-local site, sorted by site name; local pages skipped."""
+    """One profile per non-local site, sorted by site name; local pages skipped.
+
+    Each distinct reference is tokenized once, its token counts scaled by its hits.
+    """
     tokens: dict[str, Counter] = {}
     hits: Counter = Counter()
-    for ref in refs:
+    for ref, n in Counter(refs).items():
         if ref.site is None:
             continue
-        hits[ref.site] += 1
-        tokens.setdefault(ref.site, Counter()).update(tokenize(ref))
+        hits[ref.site] += n
+        tokens.setdefault(ref.site, Counter()).update(
+            {token: count * n for token, count in tokenize(ref).items()})
     return [SiteProfile(site, tokens[site], hits[site]) for site in sorted(hits)]
 
 

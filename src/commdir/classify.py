@@ -59,12 +59,16 @@ def build_usage_vectors(records: Iterable[LogRecord], tax: Taxonomy) -> list[Usa
     """One usage vector per distinct user, sorted by user id.
 
     Records should already be policy-filtered. Every record contributes one
-    count: to its page's category, or to UNSPECIFIED.
+    count: to its page's category, or to UNSPECIFIED. Each distinct resource
+    is classified once.
     """
+    category: dict[str, str] = {}
     per_user: dict[str, Counter] = defaultdict(Counter)
     for rec in records:
-        ref = extract_page_ref(rec.resource)
-        per_user[user_key(rec)][classify_page(ref, tax)] += 1
+        resource = rec.resource
+        if resource not in category:
+            category[resource] = classify_page(extract_page_ref(resource), tax)
+        per_user[user_key(rec)][category[resource]] += 1
     return [
         UsageVector(user, dict(sorted(counts.items())), sum(counts.values()))
         for user, counts in sorted(per_user.items())

@@ -12,6 +12,7 @@ All functions here are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import io
 import re
@@ -95,20 +96,14 @@ _MONTH_NUM = {
 _MONTH_NAME = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
-# Access logs repeat timestamps heavily (many hits per second), so parsed
-# datetimes and tzinfo objects are memoized. Caches are cleared, not evicted,
-# once full; parsing stays correct either way.
-_TZ_CACHE: dict[str, timezone] = {}
-_DT_CACHE: dict[str, datetime] = {}
-_DT_CACHE_MAX = 8192
-
 # General line shape: separators between fields may be runs of spaces/tabs,
-# the date is bracketed, the request quoted (with backslash escapes).
+# the date is bracketed, the request quoted (with backslash escapes). Only
+# space and tab are blanks, as in the fast path of parse_line and _TOKEN_RE.
 _LINE_RE = re.compile(
-    r'(\S+)[ \t]+(\S+)[ \t]+(\S+)[ \t]+'
+    r'([^ \t]+)[ \t]+([^ \t]+)[ \t]+([^ \t]+)[ \t]+'
     r'\[([^\]]*)\][ \t]+'
     r'"((?:[^"\\]|\\.)*)"[ \t]+'
-    r'(\S+)[ \t]+(\S+)[ \t]*$'
+    r'([^ \t]+)[ \t]+([^ \t]+)[ \t]*$'
 )
 
 # Tokens of a line that failed _LINE_RE: a bracketed date, a quoted request
@@ -127,25 +122,19 @@ RECORDS_HEADER = ("# host\tident\tauthuser\ttimestamp\tmethod\tresource"
 
 
 def _tz_from_offset(s: str) -> timezone | None:
-    tz = _TZ_CACHE.get(s)
-    if tz is not None:
-        return tz
     if len(s) != 5 or s[0] not in "+-" or not s[1:].isdigit():
         return None
     hours, minutes = int(s[1:3]), int(s[3:5])
     if hours > 23 or minutes > 59:
         return None
     delta = timedelta(hours=hours, minutes=minutes)
-    tz = timezone(-delta if s[0] == "-" else delta)
-    _TZ_CACHE[s] = tz
-    return tz
+    return timezone(-delta if s[0] == "-" else delta)
 
 
+# Access logs repeat timestamps heavily (many hits per second).
+@functools.lru_cache(maxsize=8192)
 def parse_timestamp(s: str) -> datetime | None:
     """Parse ``dd/Mon/yyyy:HH:MM:SS +zzzz`` (fixed width); None when malformed."""
-    dt = _DT_CACHE.get(s)
-    if dt is not None:
-        return dt
     if len(s) != 26 or s[2] != "/" or s[6] != "/" or s[11] != ":" \
             or s[14] != ":" or s[17] != ":" or s[20] != " ":
         return None
@@ -159,14 +148,10 @@ def parse_timestamp(s: str) -> datetime | None:
     if not (digits.isascii() and digits.isdigit()):
         return None  # int() would also take a sign, "_" or a blank
     try:
-        dt = datetime(int(s[7:11]), month, int(s[0:2]),
-                      int(s[12:14]), int(s[15:17]), int(s[18:20]), tzinfo=tz)
+        return datetime(int(s[7:11]), month, int(s[0:2]),
+                        int(s[12:14]), int(s[15:17]), int(s[18:20]), tzinfo=tz)
     except ValueError:
         return None
-    if len(_DT_CACHE) >= _DT_CACHE_MAX:
-        _DT_CACHE.clear()
-    _DT_CACHE[s] = dt
-    return dt
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -245,13 +230,15 @@ def parse_line(line: str) -> LogRecord | ParseError:
     """Parse one physical CLF line (no trailing newline)."""
     if len(line) > MAX_LINE_BYTES:
         return ParseError(ParseReason.FIELD_COUNT_MISMATCH, line)
-    # Fast path: single-space separators, one quoted request, no escapes.
-    # Anything shape-ambiguous falls through to the general regex.
+    # Fast path: single-space separators, one bracketed date, one quoted
+    # request, no escapes. Anything shape-ambiguous falls through to the
+    # general regex.
     if "\\" not in line and "\t" not in line and line.count('"') == 2:
         parts = line.split(" ")
         if (len(parts) == 10
                 and parts[0] and parts[1] and parts[2]
                 and parts[3][:1] == "[" and parts[4][-1:] == "]"
+                and "]" not in parts[3] and "]" not in parts[4][:-1]
                 and parts[5][:1] == '"' and parts[7][-1:] == '"'
                 and parts[8] and parts[9]):
             return _build(parts[0], parts[1], parts[2],
@@ -326,8 +313,9 @@ def record_from_tsv_line(line: str, lineno: int) -> LogRecord:
     Raises ValueError naming the line number and the ParseReason.
     """
     cols = line.split("\t")
+    # A name column must be one non-empty CLF field: no blank inside.
     result = (_build(cols[0], cols[1], cols[2], cols[3], cols[4:7], cols[7], cols[8], line)
-              if len(cols) == 9 and cols[0] and cols[1] and cols[2]
+              if len(cols) == 9 and all(c and " " not in c for c in cols[:3])
               else ParseError(ParseReason.FIELD_COUNT_MISMATCH, line))
     if type(result) is ParseError:
         raise ValueError(f"records file line {lineno}: {result.reason.value}")

@@ -9,12 +9,13 @@ thematic classification and site clustering.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class PageRef:
     """Normalized page reference; ``site`` is None for local (non-site) paths."""
 
@@ -26,10 +27,6 @@ class PageRef:
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 _HOST_LABEL = re.compile(r"[a-z0-9-]+\Z")
-
-# Hostname-grammar verdicts for first path segments repeat across a log.
-_HOST_CACHE: dict[str, bool] = {}
-_HOST_CACHE_MAX = 65536
 
 
 def strip_query(resource: str) -> str:
@@ -48,16 +45,12 @@ def strip_query(resource: str) -> str:
 def _is_hostname(segment: str) -> bool:
     # Purely syntactic: >= 2 dot-separated labels of [a-z0-9-]. No TLD list,
     # no DNS; misdetections land in site=None and are excluded from mining.
-    verdict = _HOST_CACHE.get(segment)
-    if verdict is None:
-        labels = segment.split(".")
-        verdict = len(labels) >= 2 and all(_HOST_LABEL.match(l) for l in labels)
-        if len(_HOST_CACHE) >= _HOST_CACHE_MAX:
-            _HOST_CACHE.clear()
-        _HOST_CACHE[segment] = verdict
-    return verdict
+    labels = segment.split(".")
+    return len(labels) >= 2 and all(_HOST_LABEL.match(l) for l in labels)
 
 
+# Logs repeat resources heavily; a PageRef is frozen, so sharing one is safe.
+@functools.lru_cache(maxsize=65536)
 def extract_page_ref(resource: str) -> PageRef:
     """Split a logged resource into site, directories and page name.
 

@@ -11,7 +11,7 @@ from commdir.artificial import (
     profile_sites,
 )
 from commdir.taxonomy import ancestors
-from commdir.urls import extract_page_ref
+from commdir.urls import extract_page_ref, tokenize
 
 
 def profile(site, tokens, hits=1):
@@ -34,6 +34,27 @@ def test_profile_sites_on_sample(sample_records):
 def test_profile_sites_all_local_is_empty():
     refs = [extract_page_ref("/apache_pb.gif"), extract_page_ref("/cgi_bin/x")]
     assert profile_sites(refs) == []
+
+
+def per_ref_profile_sites(refs):
+    """Reference: tokenize every reference on its own."""
+    tokens, hits = {}, Counter()
+    for ref in refs:
+        if ref.site is None:
+            continue
+        hits[ref.site] += 1
+        tokens.setdefault(ref.site, Counter()).update(tokenize(ref))
+    return [SiteProfile(site, tokens[site], hits[site]) for site in sorted(hits)]
+
+
+def test_profile_sites_equal_per_ref_reference():
+    rng = random.Random(11)
+    resources = [f"/www.s{rng.randrange(8)}.com/{rng.choice(['a', 'b/c', 'news/b'])}"
+                 f"/p{rng.randrange(5)}.html" for _ in range(40)]
+    resources += ["/local/x.html", "/", "/www.s1.com/", "/www.s2.com/a/a/a.a?x=1"]
+    for _ in range(50):
+        refs = [extract_page_ref(rng.choice(resources)) for _ in range(rng.randrange(0, 200))]
+        assert profile_sites(refs) == per_ref_profile_sites(refs)
 
 
 def test_profile_sites_accumulates_hits():

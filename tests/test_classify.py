@@ -1,6 +1,8 @@
 import io
 import random
+from collections import Counter, defaultdict
 
+from commdir import classify
 from commdir.classify import (
     UNSPECIFIED,
     build_usage_vectors,
@@ -8,7 +10,7 @@ from commdir.classify import (
     usage_vectors_tsv,
     user_key,
 )
-from commdir.clf import parse_line
+from commdir.clf import LogRecord, parse_line
 from commdir.taxonomy import depth, load_taxonomy
 from commdir.urls import PageRef, extract_page_ref, tokenize
 
@@ -171,3 +173,45 @@ def test_sample_refs_classify_as_expected(sample_records, fixture_taxonomy):
     got = [classify_page(extract_page_ref(r.resource), fixture_taxonomy)
            for r in sample_records]
     assert got == expected
+
+
+def per_record_usage_vectors(records, tax):
+    """Reference: classify every record on its own."""
+    per_user = defaultdict(Counter)
+    for rec in records:
+        per_user[user_key(rec)][classify_page(extract_page_ref(rec.resource), tax)] += 1
+    return [(user, dict(sorted(c.items())), sum(c.values())) for user, c in sorted(per_user.items())]
+
+
+def seeded_records(rng, n, sample_records):
+    """Records over few users and few resources, so both repeat heavily."""
+    resources = [r.resource for r in sample_records] + [
+        "/www.w3schools.com/xml/other.xml?q=1", "/www.google.com/search/x", "/", "/local/xml",
+        "/WWW.W3SCHOOLS.COM/HTML/a.html", "/www.microsoft.com/software/html/x"]
+    ts = sample_records[0].timestamp
+    return [LogRecord(f"10.0.0.{rng.randrange(6)}", None, rng.choice([None, "ann", "bob"]),
+                      ts, "GET", rng.choice(resources), "HTTP/1.0", 200, None)
+            for _ in range(n)]
+
+
+def test_usage_vectors_equal_per_record_reference(sample_records, fixture_taxonomy):
+    rng = random.Random(5)
+    for _ in range(50):
+        records = seeded_records(rng, rng.randrange(1, 300), sample_records)
+        got = [(v.user, v.counts, v.total)
+               for v in build_usage_vectors(records, fixture_taxonomy)]
+        assert got == per_record_usage_vectors(records, fixture_taxonomy)
+
+
+def test_usage_vectors_classify_each_resource_once(sample_records, fixture_taxonomy,
+                                                   monkeypatch):
+    records = seeded_records(random.Random(9), 500, sample_records)
+    calls = Counter()
+
+    def counting(ref, tax):
+        calls[ref.raw] += 1
+        return classify_page(ref, tax)
+
+    monkeypatch.setattr(classify, "classify_page", counting)
+    build_usage_vectors(records, fixture_taxonomy)
+    assert calls == Counter({r.resource for r in records})

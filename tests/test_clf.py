@@ -90,6 +90,23 @@ def test_error_reasons(line, reason):
     assert err.raw_line == line
 
 
+def test_doubled_separator_does_not_change_the_outcome():
+    # The fast path (single spaces) and the general regex must agree, also on
+    # characters that only one of them could count as blanks.
+    def outcome(result):
+        return result.reason if isinstance(result, ParseError) else result
+
+    rng = random.Random(3)
+    for _ in range(3000):
+        line = random_clf_line(rng)
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(len(line) + 1)
+            line = line[:i] + rng.choice("\x0b\x0c\x1c\x1f\x85\xa0\u3000 \t\\\"[]-x") + line[i:]
+        if " " in line:
+            doubled = line.replace(" ", "  ", 1)
+            assert outcome(parse_line(line)) == outcome(parse_line(doubled)), repr(line)
+
+
 def test_malformed_date_wins_over_later_request_error():
     # first failing field decides the reason
     err = parse_line('1.2.3.4 - - [bad] "-" 200 -')

@@ -301,6 +301,8 @@ def test_usage_error_exits_1(capsys, tmp_path, sample_log_path, data_dir):
     (7, "999", "BadStatus"), (8, "-3", "BadBytes"), (8, "1_0", "BadBytes"),
     (3, "10/Oct/2000", "MalformedDate"), (4, "", "MalformedRequest"),
     (0, "", "FieldCountMismatch"), (1, "", "FieldCountMismatch"), (2, "", "FieldCountMismatch"),
+    (0, "a b", "FieldCountMismatch"), (1, "x ", "FieldCountMismatch"),
+    (2, " frank", "FieldCountMismatch"),
 ])
 def test_records_tsv_rows_follow_clf_field_rules(column, value, reason, tmp_path, capsys,
                                                  sample_log_path):

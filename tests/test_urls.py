@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -76,6 +78,13 @@ def test_tokenize_examples(ref, expected):
 def test_tokenize_counts_repeats():
     ref = PageRef("www.xml.example.com", ("xml",), "xml_intro.html", "")
     assert tokenize(ref)["xml"] == 3
+
+
+def test_page_ref_is_frozen():
+    ref = extract_page_ref("/www.a.com/x/p.html")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ref.site = "www.b.com"
+    assert extract_page_ref("/www.a.com/x/p.html").site == "www.a.com"
 
 
 def test_tokenize_drops_www_and_suffix_only():
