@@ -4,9 +4,11 @@ When no curated taxonomy exists, sites are profiled by the URL tokens of
 their logged pages and grouped by single-linkage clustering over Jaccard
 similarity of those token sets: a cluster is a connected component of the
 graph whose edges join the site pairs at least sigma-similar (the same
-threshold join that links similar users into communities). The result is a
-two-level taxonomy (cluster -> member sites) usable by every downstream
-stage, with top-token keyword summaries and depth-defaulted weights.
+threshold join that links similar users into communities; above sigma 0,
+only sites that share a token, or that both have none, are compared). The
+result is a two-level taxonomy (cluster -> member sites) usable by every
+downstream stage, with top-token keyword summaries and depth-defaulted
+weights.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def cluster_sites(profiles: Sequence[SiteProfile], sigma: float = DEFAULT_SIGMA)
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0: {sigma!r}")
-    adj = threshold_join({p.site: set(p.tokens) for p in profiles}, jaccard, sigma)
+    tokens = {p.site: set(p.tokens) for p in profiles}
+    adj = threshold_join(tokens, lambda t: t, jaccard, sigma)
     clusters: list[tuple[str, ...]] = []
     seen: set[str] = set()
     for site in adj:

@@ -122,7 +122,7 @@ RECORDS_HEADER = ("# host\tident\tauthuser\ttimestamp\tmethod\tresource"
 
 
 def _tz_from_offset(s: str) -> timezone | None:
-    if len(s) != 5 or s[0] not in "+-" or not s[1:].isdigit():
+    if len(s) != 5 or s[0] not in "+-" or not (s[1:].isascii() and s[1:].isdigit()):
         return None
     hours, minutes = int(s[1:3]), int(s[3:5])
     if hours > 23 or minutes > 59:

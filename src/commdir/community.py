@@ -1,8 +1,10 @@
 """User-community discovery and pruned community directories.
 
 Users become vertices of a similarity graph (cosine over their usage
-vectors, thresholded at tau); communities are the maximal cliques of that
-graph, enumerated with Bron-Kerbosch pivoting, so communities may overlap.
+vectors, thresholded at tau; above tau 0, only users who share a category
+are compared, since any other pair scores 0); communities are the maximal
+cliques of that graph, enumerated with Bron-Kerbosch pivoting, so
+communities may overlap.
 Each community's directory keeps the categories whose score, the product
 of a-priori category informativeness and the fraction of the community's
 hits falling inside the category's subtree, clears theta, plus all their
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Collection, Iterable, Mapping, TypeVar
 
 from .classify import UsageVector
 from .taxonomy import ROOT, Taxonomy, ancestors
@@ -81,16 +83,45 @@ def similarity(u: UsageVector, v: UsageVector) -> float:
     return min(1.0, dot / math.sqrt(na * nb))
 
 
-def threshold_join(items: Mapping[str, T], sim: Callable[[T, T], float],
+# The one key of every item when every pair must be compared (threshold <= 0),
+# and the one key of every keyless item otherwise.
+_EVERY_PAIR = object()
+_NO_KEYS = object()
+
+
+def threshold_join(items: Mapping[str, T], keys: Callable[[T], Collection],
+                   sim: Callable[[T, T], float],
                    threshold: float) -> dict[str, frozenset[str]]:
-    """Adjacency of the id pairs whose similarity reaches threshold, keys in sorted order."""
-    pairs = sorted(items.items())
-    adj: dict[str, set[str]] = {k: set() for k, _ in pairs}
-    for i, (a, x) in enumerate(pairs):
-        for b, y in pairs[i + 1:]:
+    """Adjacency of the id pairs whose similarity reaches threshold, keys in sorted order.
+
+    An inverted-index join: items are visited in sorted-id order, each one
+    looked up in a key -> ids-so-far index for its candidate partners, then
+    appended to its keys' posting lists (``keys(item)``; an empty collection
+    makes the item keyless). Above threshold 0 the candidates are the pairs
+    that share a key, plus every pair of keyless items; at threshold <= 0
+    every pair is a candidate. Each candidate (x earlier, y later) is kept
+    when ``sim(x, y) >= threshold``, so the cost grows with the candidate
+    pairs, not with all n(n-1)/2 pairs, when keys are sparse.
+
+    Contract on ``sim`` and ``keys``: for a positive threshold, two items
+    that share no key must score below it unless both are keyless. Cosine
+    over positive counts (0.0 without a shared category) and Jaccard over
+    token sets (0.0 without a shared token; 1.0 for two empty sets) meet it.
+    """
+    ordered = sorted(items.items())
+    index: dict[object, list[int]] = {}
+    adj: dict[str, set[str]] = {}
+    for j, (b, y) in enumerate(ordered):
+        postings = [index.setdefault(k, []) for k in
+                    ((_EVERY_PAIR,) if threshold <= 0 else keys(y) or (_NO_KEYS,))]
+        near = adj[b] = set()
+        for i in set().union(*postings):
+            a, x = ordered[i]
             if sim(x, y) >= threshold:
+                near.add(a)
                 adj[a].add(b)
-                adj[b].add(a)
+        for posting in postings:
+            posting.append(j)
     return {k: frozenset(n) for k, n in adj.items()}
 
 
@@ -102,7 +133,7 @@ def build_graph(vectors: Iterable[UsageVector], tau: float = DEFAULT_TAU) -> Sim
     by_user = {v.user: v for v in vecs}
     if len(by_user) != len(vecs):
         raise ValueError("duplicate user ids in vectors")
-    adj = threshold_join(by_user, similarity, tau)
+    adj = threshold_join(by_user, lambda v: v.counts, similarity, tau)
     return SimilarityGraph(tuple(adj), adj, tau)
 
 

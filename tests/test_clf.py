@@ -77,12 +77,14 @@ def test_status_out_of_range_is_bad_status():
     ('1.2.3.4 - - [+1/Oct/2000:13:55:36 -0700] "GET /a HTTP/1.0" 200 -', ParseReason.MALFORMED_DATE),
     ('1.2.3.4 - - [10/Oct/2_00:13:55:36 -0700] "GET /a HTTP/1.0" 200 -', ParseReason.MALFORMED_DATE),
     ('1.2.3.4 - - [10/Oct/2000: 3:55:36 -0700] "GET /a HTTP/1.0" 200 -', ParseReason.MALFORMED_DATE),
+    ('1.2.3.4 - - [10/Oct/2000:13:55:36 +\u0660\u0667\u0660\u0660] "GET /a HTTP/1.0" 200 -',
+     ParseReason.MALFORMED_DATE),
 ], ids=["garbage", "bad-date", "dash-request", "two-token-request",
         "alpha-status", "negative-bytes", "alpha-bytes", "trailing-field",
         "missing-field", "leading-blank", "quoted-host", "unterminated-date",
         "unterminated-request", "tab-in-request", "tab-in-escaped-request",
         "bad-date-before-tab-in-request", "signed-day", "underscore-year",
-        "blank-padded-hour"])
+        "blank-padded-hour", "non-ascii-offset"])
 def test_error_reasons(line, reason):
     err = parse_line(line)
     assert isinstance(err, ParseError)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from commdir.artificial import jaccard
 from commdir.classify import UNSPECIFIED, UsageVector, build_usage_vectors
 from commdir.community import (
     Community,
@@ -18,6 +19,7 @@ from commdir.community import (
     directory_text,
     find_communities,
     similarity,
+    threshold_join,
 )
 from commdir.taxonomy import ancestors, make_taxonomy
 
@@ -169,6 +171,90 @@ def test_build_graph_matches_brute_force_similarity():
             graph = build_graph(rng.sample(vectors, len(vectors)), tau)
             assert graph.vertices == tuple(sorted(adj)) == tuple(graph.adjacency)
             assert graph.adjacency == adj
+
+
+def all_pairs_join(items, sim, threshold):
+    """The all-pairs loop that threshold_join replaced, kept as its oracle."""
+    pairs = sorted(items.items())
+    adj = {k: set() for k, _ in pairs}
+    for i, (a, x) in enumerate(pairs):
+        for b, y in pairs[i + 1:]:
+            if sim(x, y) >= threshold:
+                adj[a].add(b)
+                adj[b].add(a)
+    return {k: frozenset(n) for k, n in adj.items()}
+
+
+def assert_joins_equal(items, keys, sim, threshold):
+    got = threshold_join(items, keys, sim, threshold)
+    want = all_pairs_join(items, sim, threshold)
+    assert list(got) == list(want)
+    assert got == want
+
+
+def shuffled_dict(rng, pairs):
+    """Insertion order differs from id order, so the join must sort."""
+    pairs = list(pairs)
+    return dict(rng.sample(pairs, len(pairs)))
+
+
+def test_cosine_join_matches_all_pairs_oracle():
+    rng = random.Random(61)
+    cats = [f"Top/C{i}" for i in range(8)] + [UNSPECIFIED]
+    for _ in range(80):
+        # empty vectors are keyless; they join nothing above tau 0
+        vectors = shuffled_dict(rng, (
+            (f"u{i}", vec(f"u{i}", {c: rng.randint(1, 5)
+                                    for c in rng.sample(cats, rng.randint(0, 3))}))
+            for i in range(rng.randint(0, 16))))
+        for tau in (0.0, rng.random(), 0.5, 0.8, 1.0):
+            assert_joins_equal(vectors, lambda v: v.counts, similarity, tau)
+
+
+def test_jaccard_join_matches_all_pairs_oracle():
+    rng = random.Random(62)
+    for _ in range(120):
+        # empty token sets are frequent and mixed with non-empty ones
+        sets = shuffled_dict(rng, (
+            (f"s{i}.net", set(rng.sample("abcdefgh", rng.choice([0, 0, 1, 2, 3, 4]))))
+            for i in range(rng.randint(0, 16))))
+        for sigma in (0.0, rng.random(), 0.5, 1.0, 1.5, 3.0):
+            assert_joins_equal(sets, lambda t: t, jaccard, sigma)
+
+
+def test_join_when_every_user_shares_one_category():
+    # The degenerate input for the index: every pair is a candidate.
+    rng = random.Random(63)
+    for _ in range(20):
+        vectors = {f"u{i}": vec(f"u{i}", {"Top/Hot": rng.randint(1, 3),
+                                          f"Top/C{rng.randrange(6)}": rng.randint(1, 9)})
+                   for i in range(rng.randint(2, 20))}
+        for tau in (0.0, 0.3, 0.6, 0.8, 0.95, 1.0):
+            assert_joins_equal(vectors, lambda v: v.counts, similarity, tau)
+
+
+def test_join_scores_only_pairs_that_share_a_key():
+    rng = random.Random(64)
+    cats = [f"Top/C{i}" for i in range(120)]
+    vectors = {f"u{i:03d}": vec(f"u{i:03d}", {c: rng.randint(1, 4)
+                                              for c in rng.sample(cats, rng.randint(1, 3))})
+               for i in range(300)}
+    calls = 0
+
+    def counting_similarity(u, v):
+        nonlocal calls
+        calls += 1
+        return similarity(u, v)
+
+    sharing = sum(1 for u, v in itertools.combinations(vectors.values(), 2)
+                  if u.counts.keys() & v.counts.keys())
+    got = threshold_join(vectors, lambda v: v.counts, counting_similarity, 0.5)
+    assert got == all_pairs_join(vectors, similarity, 0.5)
+    assert calls == sharing
+    assert sharing < 300 * 299 // 2 // 10
+    calls = 0
+    threshold_join(vectors, lambda v: v.counts, counting_similarity, 0.0)
+    assert calls == 300 * 299 // 2
 
 
 def test_community_profile_sums_members():
