@@ -68,7 +68,7 @@ def cluster_sites(profiles: Sequence[SiteProfile], sigma: float = DEFAULT_SIGMA)
     sigma. Output is sorted tuples of sorted sites. sigma > 1 is allowed
     and yields singletons.
     """
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise ValueError(f"sigma must be >= 0: {sigma!r}")
     tokens = {p.site: set(p.tokens) for p in profiles}
     adj = threshold_join(tokens, lambda t: t, jaccard, sigma)

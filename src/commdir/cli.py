@@ -17,8 +17,8 @@ import argparse
 import contextlib
 import itertools
 import os
+import stat
 import sys
-import tempfile
 from collections import Counter
 from typing import IO, Iterator
 
@@ -54,13 +54,21 @@ def _about(what: str) -> Iterator[None]:
 
 @contextlib.contextmanager
 def atomic_writer(path: str) -> Iterator[IO[str]]:
-    """A text file that replaces ``path`` when the block completes; on failure, nothing does."""
+    """A text file that replaces ``path`` when the block completes; on failure, nothing does.
+
+    File modes are those of ``open(path, "w")``: a new file gets ``0o666``
+    less the umask, and a replaced file keeps its mode.
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     with _about(f"cannot write {path}"):
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        # os.open, not mkstemp (always 0600), so the umask applies as with open().
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             yield f
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -252,7 +260,8 @@ def cmd_taxonomy(args) -> int:
         raise ValueError(f"unknown path: {args.path!r} (use add)")
     tax = taxonomy_mod.add_or_update_category(tax, args.path, keywords, args.weight)
     atomic_write(args.file, taxonomy_mod.serialize_taxonomy(tax))
-    print(f"{args.action}d {args.path} ({len(tax)} categories)")
+    done = "added" if args.action == "add" else "updated"
+    print(f"{done} {args.path} ({len(tax)} categories)")
     return EXIT_OK
 
 

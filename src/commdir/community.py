@@ -13,6 +13,7 @@ ancestors so the result stays a rooted tree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -65,22 +66,29 @@ class CommunityDirectory:
     theta: float
 
 
-def similarity(u: UsageVector, v: UsageVector) -> float:
-    """Cosine similarity of two usage vectors (unspecified coordinate included)."""
-    a, b = u.counts, v.counts
-    if len(b) < len(a):
-        a, b = b, a
+def _cosine(a: tuple[Mapping[str, int], int], b: tuple[Mapping[str, int], int]) -> float:
+    """Cosine of two (counts, squared norm) pairs."""
+    (ca, na), (cb, nb) = a, b
+    if len(cb) < len(ca):
+        ca, cb = cb, ca
     dot = 0
-    for key, x in a.items():
-        y = b.get(key)
+    for key, x in ca.items():
+        y = cb.get(key)
         if y:
             dot += x * y
     if dot == 0:
         return 0.0
-    na = sum(x * x for x in a.values())
-    nb = sum(y * y for y in b.values())
     # na*nb is an exact integer, so parallel vectors hit exactly 1.0.
     return min(1.0, dot / math.sqrt(na * nb))
+
+
+def _with_norm(v: UsageVector) -> tuple[Mapping[str, int], int]:
+    return v.counts, sum(x * x for x in v.counts.values())
+
+
+def similarity(u: UsageVector, v: UsageVector) -> float:
+    """Cosine similarity of two usage vectors (unspecified coordinate included)."""
+    return _cosine(_with_norm(u), _with_norm(v))
 
 
 # The one key of every item when every pair must be compared (threshold <= 0),
@@ -133,7 +141,9 @@ def build_graph(vectors: Iterable[UsageVector], tau: float = DEFAULT_TAU) -> Sim
     by_user = {v.user: v for v in vecs}
     if len(by_user) != len(vecs):
         raise ValueError("duplicate user ids in vectors")
-    adj = threshold_join(by_user, lambda v: v.counts, similarity, tau)
+    # Each squared norm is computed once, not once per candidate pair.
+    with_norms = {user: _with_norm(v) for user, v in by_user.items()}
+    adj = threshold_join(with_norms, lambda cn: cn[0], _cosine, tau)
     return SimilarityGraph(tuple(adj), adj, tau)
 
 
@@ -149,31 +159,42 @@ def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,
     exist.
     """
     adj = graph.adjacency
-    found: list[frozenset[str]] = []
+    found = 0
+    kept: list[tuple[str, ...]] = []
 
-    def frame(r: frozenset[str], p: set[str], x: set[str]):
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
+    def frame(r: tuple[str, ...], p: set[str], x: set[str]):
+        # Tomita's pivot maximizes |adj[u] & p|, but any pivot in P | X is
+        # correct, so the scan stops at one that leaves at most one branch.
+        pivot, most = None, -1
+        for u in itertools.chain(x, p):
+            n = len(adj[u] & p)
+            if n > most:
+                pivot, most = u, n
+                if n >= len(p) - 1:
+                    break
         return r, p, x, iter(sorted(p - adj[pivot]))
 
-    # Bron-Kerbosch with Tomita's pivot on an explicit stack, free of the recursion limit.
-    stack = [frame(frozenset(), set(graph.vertices), set())] if graph.vertices else []
+    # Bron-Kerbosch on an explicit stack, free of the recursion limit.
+    stack = [frame((), set(graph.vertices), set())] if graph.vertices else []
     while stack:
         r, p, x, todo = stack[-1]
         for v in todo:
-            rv, pv, xv = r | {v}, p & adj[v], x & adj[v]
+            rv, pv, xv = r + (v,), p & adj[v], x & adj[v]
             p.remove(v)
             x.add(v)
-            if pv or xv:
+            if pv:
                 stack.append(frame(rv, pv, xv))
                 break
-            found.append(rv)
-            if len(found) > clique_cap:
+            if xv:
+                continue
+            found += 1
+            if found > clique_cap:
                 raise ExplosionGuardError(clique_cap)
+            if len(rv) >= min_size or (keep_singletons and len(rv) == 1):
+                kept.append(tuple(sorted(rv)))
         else:
             stack.pop()
-    kept = [c for c in found
-            if len(c) >= min_size or (keep_singletons and len(c) == 1)]
-    return sorted(tuple(sorted(c)) for c in kept)
+    return sorted(kept)
 
 
 def community_profile(members: Iterable[str], vectors: Iterable[UsageVector]) -> Community:

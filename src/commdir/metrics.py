@@ -8,7 +8,9 @@ of coverage's denominator and reported as their own fraction instead.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import Counter
 from typing import Iterable, Sequence
 
 from .classify import UNSPECIFIED, UsageVector
@@ -47,10 +49,14 @@ def unspecified_fraction(community: Community) -> float:
 def build_report(full: Taxonomy, directories: Sequence[CommunityDirectory],
                  vectors: Iterable[UsageVector],
                  parameters: dict | None = None) -> dict:
-    """Structured mining report: per-community rows, overlap matrix, averages.
+    """Structured mining report: per-community rows, overlap, averages.
 
-    Ordering follows the (already canonical) directory order, so the report
-    is deterministic for equal inputs.
+    ``overlap`` lists ``[i, j, n]`` for every pair of communities (1-based
+    ids, i < j) that share n > 0 members, sorted; it grows with the shared
+    memberships, not with the square of the community count. A community's
+    overlap with itself is its ``member_count``. Ordering follows the
+    (already canonical) directory order, so the report is deterministic for
+    equal inputs.
     """
     vectors = list(vectors)
     rows = []
@@ -66,8 +72,13 @@ def build_report(full: Taxonomy, directories: Sequence[CommunityDirectory],
             "coverage": coverage(cdir, com),
             "unspecified_fraction": unspecified_fraction(com),
         })
-    member_sets = [set(cdir.community.members) for cdir in directories]
-    overlap = [[len(a & b) for b in member_sets] for a in member_sets]
+    communities_of: dict[str, list[int]] = {}
+    for row in rows:
+        for member in row["members"]:
+            communities_of.setdefault(member, []).append(row["id"])
+    # Ids are appended in increasing order, so every pair has i < j.
+    shared = Counter(pair for ids in communities_of.values()
+                     for pair in itertools.combinations(ids, 2))
     n = len(rows)
     total_hits = sum(v.total for v in vectors)
     unspecified_hits = sum(v.counts.get(UNSPECIFIED, 0) for v in vectors)
@@ -84,7 +95,7 @@ def build_report(full: Taxonomy, directories: Sequence[CommunityDirectory],
         "community_count": n,
         "zero_communities": n == 0,
         "communities": rows,
-        "overlap": overlap,
+        "overlap": [[i, j, count] for (i, j), count in sorted(shared.items())],
         "averages": averages,
     }
 
@@ -117,11 +128,12 @@ def report_text(report: dict) -> str:
     lines.append(f"average shrinkage: {avg['shrinkage']:.4f}")
     lines.append(f"average coverage: {avg['coverage']:.4f}")
     lines.append(f"global unspecified fraction: {avg['global_unspecified_fraction']:.4f}")
-    if report["community_count"] > 1:
+    if report["overlap"]:
         lines.append("")
-        lines.append("member overlap matrix:")
-        for row in report["overlap"]:
-            lines.append("  " + " ".join(f"{v:>4}" for v in row))
+        lines.append("shared members:")
+        lines.append(f"{'i':>4} {'j':>4} {'shared':>8}")
+        for i, j, n in report["overlap"]:
+            lines.append(f"{i:>4} {j:>4} {n:>8}")
     return "\n".join(lines) + "\n"
 
 

@@ -81,6 +81,15 @@ def test_sigma_above_one_keeps_singletons():
     assert cluster_sites(profiles, 1.0 + 1e-9) == [("a.com",), ("b.com",)]
 
 
+@pytest.mark.parametrize("sigma", [-0.1, float("nan")])
+def test_sigma_must_be_a_number_at_least_zero(sigma):
+    # Two sites sharing a token: a NaN sigma once gave singletons, not an error.
+    profiles = [profile("a.com", "xy"), profile("b.com", "xz")]
+    assert cluster_sites(profiles, 0.1) == [("a.com", "b.com")]
+    with pytest.raises(ValueError, match="sigma"):
+        cluster_sites(profiles, sigma)
+
+
 def test_jaccard_threshold_example():
     profiles = [profile("a", "xy"), profile("b", "xyz"), profile("c", "q")]
     # J(a,b) = 2/3 >= 0.5; c shares nothing

@@ -1,6 +1,8 @@
 import gzip
 import json
+import os
 import shutil
+import stat
 
 import pytest
 
@@ -245,14 +247,52 @@ def test_taxonomy_add_and_update(capsys, tmp_path, data_dir):
     code, stdout, _ = run(capsys, "taxonomy", "add", str(tax), "Top/News",
                           "--keywords", "news,press")
     assert code == 0
+    assert stdout == "added Top/News (7 categories)\n"
     after = len(tax.read_text().strip().splitlines())
     assert after > before
 
-    code, _, _ = run(capsys, "taxonomy", "update", str(tax), "Top/News",
-                     "--keywords", "news", "--weight", "0.8")
+    code, stdout, _ = run(capsys, "taxonomy", "update", str(tax), "Top/News",
+                          "--keywords", "news", "--weight", "0.8")
     assert code == 0
+    assert stdout == "updated Top/News (7 categories)\n"
     assert len(tax.read_text().strip().splitlines()) == after
     assert "0.8" in tax.read_text()
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def test_cluster_files_get_the_umask_mode(umask_022, tmp_path, capsys, sample_log_path,
+                                          data_dir):
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "cluster", str(sample_log_path),
+                     "--taxonomy", str(data_dir / "taxonomy.tsv"), "--out", str(out))
+    assert code == 0
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert "report.json" in modes
+    assert set(modes.values()) == {0o644}
+    os.umask(0o077)
+    (out / "report.txt").chmod(0o640)
+    assert run(capsys, "cluster", str(sample_log_path), "--taxonomy",
+               str(data_dir / "taxonomy.tsv"), "--out", str(out))[0] == 0
+    assert stat.S_IMODE((out / "report.txt").stat().st_mode) == 0o640
+    assert stat.S_IMODE((out / "report.json").stat().st_mode) == 0o644
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o600, 0o664])
+def test_taxonomy_edit_keeps_file_mode(mode, umask_022, capsys, tmp_path, data_dir):
+    tax = tmp_path / "t.tsv"
+    shutil.copy(data_dir / "taxonomy.tsv", tax)
+    tax.chmod(mode)
+    assert run(capsys, "taxonomy", "add", str(tax), "Top/News")[0] == 0
+    assert stat.S_IMODE(tax.stat().st_mode) == mode
+    assert list(tmp_path.iterdir()) == [tax]
 
 
 def test_taxonomy_add_duplicate_fails(capsys, tmp_path, data_dir):

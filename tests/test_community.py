@@ -2,6 +2,8 @@ import inspect
 import itertools
 import random
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -154,6 +156,81 @@ def test_cliques_match_brute_force_on_random_graphs():
         edges = [e for e in itertools.combinations(vertices, 2) if rng.random() < p]
         g = graph_from_edges(vertices, edges)
         assert find_communities(g, min_size=1) == brute_force_maximal_cliques(g)
+
+
+def max_pivot_cliques(graph):
+    """The frozenset search that find_communities replaced, kept as its oracle:
+    Tomita's maximum pivot over all of P | X; every maximal clique is stored."""
+    adj = graph.adjacency
+    found = []
+
+    def frame(r, p, x):
+        pivot = max(p | x, key=lambda u: len(adj[u] & p))
+        return r, p, x, iter(sorted(p - adj[pivot]))
+
+    stack = [frame(frozenset(), set(graph.vertices), set())] if graph.vertices else []
+    while stack:
+        r, p, x, todo = stack[-1]
+        for v in todo:
+            rv, pv, xv = r | {v}, p & adj[v], x & adj[v]
+            p.remove(v)
+            x.add(v)
+            if pv or xv:
+                stack.append(frame(rv, pv, xv))
+                break
+            found.append(rv)
+        else:
+            stack.pop()
+    return found
+
+
+def test_cliques_match_max_pivot_search_on_random_graphs():
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        vertices = [f"v{i:02d}" for i in range(n)]
+        p = rng.choice([0.05, 0.2, 0.5, 0.7])
+        edges = [e for e in itertools.combinations(vertices, 2) if rng.random() < p]
+        g = graph_from_edges(vertices, edges)
+        found = max_pivot_cliques(g)
+        for min_size in (1, 2, 3):
+            for keep_singletons in (False, True):
+                kept = [c for c in found
+                        if len(c) >= min_size or (keep_singletons and len(c) == 1)]
+                assert find_communities(g, min_size, keep_singletons) == \
+                    sorted(tuple(sorted(c)) for c in kept)
+
+
+def test_clique_guard_trips_in_bounded_memory():
+    # Moon-Moser graph, 9 groups of 3: 3**9 = 19,683 maximal cliques of 9.
+    vertices = [f"g{i}-{j}" for i in range(9) for j in range(3)]
+    edges = [(a, b) for a, b in itertools.combinations(vertices, 2)
+             if a.split("-")[0] != b.split("-")[0]]
+    g = graph_from_edges(vertices, edges)
+    for min_size, keep_singletons in ((1, False), (2, True), (10, False)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExplosionGuardError):
+                find_communities(g, min_size, keep_singletons, clique_cap=5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 5,000 stored cliques as sorted tuples take about 0.6 MB; as
+        # frozensets they took 3.7 MB.
+        assert peak < 2_000_000
+    assert len(find_communities(g, clique_cap=3 ** 9)) == 3 ** 9
+
+
+def test_identical_users_form_one_community_quickly():
+    # 1,500 users with one interest: one clique of 1,500. A pivot scan over
+    # all of P at every level made this cubic (K_900 took about 9 s).
+    vertices = tuple(f"u{i:04d}" for i in range(1500))
+    everyone = frozenset(vertices)
+    g = SimilarityGraph(vertices, {v: everyone - {v} for v in vertices}, 0.5)
+    start = time.perf_counter()
+    found = find_communities(g)
+    assert time.perf_counter() - start < 10.0
+    assert found == [vertices]
 
 
 def test_build_graph_matches_brute_force_similarity():

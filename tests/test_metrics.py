@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -90,11 +91,12 @@ def test_report_single_community(sample_records, fixture_taxonomy):
     assert row["member_count"] == 1
     assert row["total_hits"] == 13
     assert row["unspecified_fraction"] == pytest.approx(2 / 13)
-    assert report["overlap"] == [[1]]
+    assert report["overlap"] == []
     assert report["averages"]["coverage"] == 1.0
     text = report_text(report)
     assert "communities: 1" in text
     assert "theta = 0.0" in text
+    assert "shared members" not in text
 
 
 def test_report_zero_communities(fixture_taxonomy):
@@ -107,7 +109,7 @@ def test_report_zero_communities(fixture_taxonomy):
     json.loads(report_json(report))
 
 
-def test_report_overlap_matrix(fixture_taxonomy):
+def test_report_overlap_pairs(fixture_taxonomy):
     vectors = [
         UsageVector("a", {"Top/Search": 1}, 1),
         UsageVector("b", {"Top/Search": 1}, 1),
@@ -118,8 +120,29 @@ def test_report_overlap_matrix(fixture_taxonomy):
     d1 = build_community_directory(fixture_taxonomy, com_ab, 0.0)
     d2 = build_community_directory(fixture_taxonomy, com_bc, 0.0)
     report = build_report(fixture_taxonomy, [d1, d2], vectors)
-    assert report["overlap"] == [[2, 1], [1, 2]]
-    assert "member overlap matrix:" in report_text(report)
+    assert report["overlap"] == [[1, 2, 1]]
+    assert report_text(report).endswith("shared members:\n   i    j   shared\n   1    2        1\n")
+    assert json.loads(report_json(report))["overlap"] == [[1, 2, 1]]
+
+
+def test_overlap_pairs_are_the_nonzero_cells_of_the_matrix(fixture_taxonomy):
+    rng = random.Random(91)
+    users = [f"u{i:02d}" for i in range(30)]
+    vectors = [UsageVector(u, {"Top/Search": 1}, 1) for u in users]
+    for _ in range(40):
+        member_sets = [rng.sample(users, rng.randint(1, 8)) for _ in range(rng.randint(0, 25))]
+        directories = [build_community_directory(fixture_taxonomy,
+                                                 community_profile(m, vectors), 0.5)
+                       for m in member_sets]
+        report = build_report(fixture_taxonomy, directories, vectors)
+        # The dense k x k matrix the report held before, as the reference.
+        sets = [set(m) for m in member_sets]
+        matrix = [[len(a & b) for b in sets] for a in sets]
+        assert report["overlap"] == [[i + 1, j + 1, matrix[i][j]]
+                                     for i in range(len(sets)) for j in range(i + 1, len(sets))
+                                     if matrix[i][j]]
+        assert [row["member_count"] for row in report["communities"]] == \
+            [matrix[i][i] for i in range(len(sets))]
 
 
 def test_report_totals_match_recomputation(sample_records, fixture_taxonomy):
