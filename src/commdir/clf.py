@@ -16,12 +16,15 @@ import functools
 import gzip
 import io
 import re
+import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import IO, Iterable, Iterator
 
-# Lines longer than this are rejected outright; bounds memory when streaming.
+# Longer lines are rejected as FieldCountMismatch before matching: this bounds
+# the parse work per line, not memory (the whole line is read first). open_log
+# decodes latin-1, so the limit counts bytes of the file.
 MAX_LINE_BYTES = 64 * 1024
 
 
@@ -96,20 +99,24 @@ _MONTH_NUM = {
 _MONTH_NAME = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
-# General line shape: separators between fields may be runs of spaces/tabs,
-# the date is bracketed, the request quoted (with backslash escapes). Only
-# space and tab are blanks, as in the fast path of parse_line and _TOKEN_RE.
+# Body of a quoted request: no quote except after a backslash, which escapes
+# one character. Unrolled into runs between escapes, so the engine does not
+# branch on every character.
+_REQUEST = r'[^"\\]*(?:\\.[^"\\]*)*'
+
+# A CLF line: fields separated by runs of blanks (space or tab), the date
+# bracketed, the request quoted.
 _LINE_RE = re.compile(
     r'([^ \t]+)[ \t]+([^ \t]+)[ \t]+([^ \t]+)[ \t]+'
     r'\[([^\]]*)\][ \t]+'
-    r'"((?:[^"\\]|\\.)*)"[ \t]+'
+    r'"(' + _REQUEST + r')"[ \t]+'
     r'([^ \t]+)[ \t]+([^ \t]+)[ \t]*$'
 )
 
 # Tokens of a line that failed _LINE_RE: a bracketed date, a quoted request
-# (backslash escapes) or a run of non-blanks. An unterminated bracket or
-# quote takes the rest of the line and is captured as group 2.
-_TOKEN_RE = re.compile(r'(\[[^\]]*\]|"(?:[^"\\]|\\.)*"|([\["]).*|[^ \t]+)', re.DOTALL)
+# or a run of non-blanks. An unterminated bracket or quote takes the rest of
+# the line and is captured as group 2.
+_TOKEN_RE = re.compile(r'(\[[^\]]*\]|"' + _REQUEST + r'"|([\["]).*|[^ \t]+)', re.DOTALL)
 
 # Split the request line on unescaped spaces. "\ " never splits; the rarer
 # "\\ " (escaped backslash then space) is treated the same, which keeps
@@ -230,21 +237,6 @@ def parse_line(line: str) -> LogRecord | ParseError:
     """Parse one physical CLF line (no trailing newline)."""
     if len(line) > MAX_LINE_BYTES:
         return ParseError(ParseReason.FIELD_COUNT_MISMATCH, line)
-    # Fast path: single-space separators, one bracketed date, one quoted
-    # request, no escapes. Anything shape-ambiguous falls through to the
-    # general regex.
-    if "\\" not in line and "\t" not in line and line.count('"') == 2:
-        parts = line.split(" ")
-        if (len(parts) == 10
-                and parts[0] and parts[1] and parts[2]
-                and parts[3][:1] == "[" and parts[4][-1:] == "]"
-                and "]" not in parts[3] and "]" not in parts[4][:-1]
-                and parts[5][:1] == '"' and parts[7][-1:] == '"'
-                and parts[8] and parts[9]):
-            return _build(parts[0], parts[1], parts[2],
-                          parts[3][1:] + " " + parts[4][:-1],
-                          [parts[5][1:], parts[6], parts[7][:-1]],
-                          parts[8], parts[9], line)
     m = _LINE_RE.match(line)
     if m is None:
         return _diagnose(line)
@@ -253,25 +245,30 @@ def parse_line(line: str) -> LogRecord | ParseError:
                   _split_request(request), status_s, bytes_s, line)
 
 
+def numbered_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, raw line) for each line of ``source``. A failing source (I/O
+    error, truncated or corrupt gzip) raises LogStreamError with the last line read."""
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(source, 1):
+            yield lineno, raw
+    except (OSError, EOFError, zlib.error) as exc:
+        raise LogStreamError(lineno, str(exc)) from exc
+
+
 def parse_stream(source: Iterable[str]) -> Iterator[ParseOutcome]:
     """One ParseOutcome per non-empty line, in file order; blank lines skipped.
 
-    Line numbers count physical lines. An I/O failure in the source raises
-    LogStreamError carrying the last successfully read line number. Chunked
-    inputs may be parsed independently and re-merged by line number.
+    Line numbers count physical lines; a failing source raises LogStreamError.
+    Chunked inputs may be parsed independently and re-merged by line number.
     """
-    lineno = 0
-    try:
-        for raw in source:
-            lineno += 1
-            line = raw.rstrip("\n")
-            if line.endswith("\r"):
-                line = line[:-1]
-            if not line or line.isspace():
-                continue
-            yield ParseOutcome(lineno, parse_line(line))
-    except (OSError, EOFError) as exc:
-        raise LogStreamError(lineno, str(exc)) from exc
+    for lineno, raw in numbered_lines(source):
+        line = raw.rstrip("\n")
+        if line.endswith("\r"):
+            line = line[:-1]
+        if not line or line.isspace():
+            continue
+        yield ParseOutcome(lineno, parse_line(line))
 
 
 def filter_records(records: Iterable[LogRecord],

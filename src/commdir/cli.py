@@ -89,16 +89,18 @@ def read_records(path: str) -> tuple[list[LogRecord], Counter]:
     """
     errors: Counter = Counter()
     with clf.open_log(path) as f:
-        first = f.readline()
+        lines = clf.numbered_lines(f)
+        first = next(lines, (0, ""))[1]
         if first.startswith("#") and "\t" in first:
             records = []
-            for lineno, raw in enumerate(f, 2):
+            for lineno, raw in lines:
                 line = raw.rstrip("\r\n")
                 if not line or line.startswith("#"):
                     continue
                 records.append(clf.record_from_tsv_line(line, lineno))
             return records, errors
         records = []
+        # parse_stream numbers the lines itself, so it reads on from f.
         for outcome in clf.parse_stream(itertools.chain([first], f)):
             if outcome.ok:
                 records.append(outcome.result)
@@ -134,16 +136,19 @@ def cmd_parse(args) -> int:
     lines = 0
     records = 0
     errors: Counter = Counter()
-    with stream, (atomic_writer(args.out) if args.out
-                  else contextlib.nullcontext(sys.stdout)) as out:
-        out.write(clf.RECORDS_HEADER + "\n")
-        for outcome in clf.parse_stream(stream):
-            lines += 1
-            if outcome.ok:
-                records += 1
-                out.write(clf.record_tsv_line(outcome.result) + "\n")
-            else:
-                errors[outcome.result.reason.value] += 1
+    try:
+        with stream, (atomic_writer(args.out) if args.out
+                      else contextlib.nullcontext(sys.stdout)) as out:
+            out.write(clf.RECORDS_HEADER + "\n")
+            for outcome in clf.parse_stream(stream):
+                lines += 1
+                if outcome.ok:
+                    records += 1
+                    out.write(clf.record_tsv_line(outcome.result) + "\n")
+                else:
+                    errors[outcome.result.reason.value] += 1
+    except clf.LogStreamError as exc:
+        raise OSError(f"cannot read {args.log}: {exc}") from exc
     total_errors = sum(errors.values())
     summary = f"{lines} lines, {records} records, {total_errors} errors"
     if total_errors:

@@ -95,9 +95,6 @@ class Taxonomy:
     def paths(self) -> tuple[str, ...]:
         return tuple(self._categories)
 
-    def get(self, path: str) -> Category | None:
-        return self._categories.get(path)
-
     def __contains__(self, path: str) -> bool:
         return path in self._categories
 

@@ -2,6 +2,7 @@ import gc
 import gzip
 import io
 import random
+import re
 import sys
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -9,6 +10,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, strategies as st
 
+from commdir import clf
 from commdir.clf import (
     MAX_LINE_BYTES,
     FilterPolicy,
@@ -93,8 +95,9 @@ def test_error_reasons(line, reason):
 
 
 def test_doubled_separator_does_not_change_the_outcome():
-    # The fast path (single spaces) and the general regex must agree, also on
-    # characters that only one of them could count as blanks.
+    # A run of blanks is one separator: doubling a space never changes the
+    # outcome, also next to characters that are not blanks (only space and
+    # tab are).
     def outcome(result):
         return result.reason if isinstance(result, ParseError) else result
 
@@ -107,6 +110,64 @@ def test_doubled_separator_does_not_change_the_outcome():
         if " " in line:
             doubled = line.replace(" ", "  ", 1)
             assert outcome(parse_line(line)) == outcome(parse_line(doubled)), repr(line)
+
+
+# The matchers of parse_line before its split fast path was deleted and the
+# quoted-request grammar was unrolled, kept as the oracle of the one matcher.
+_OLD_LINE_RE = re.compile(
+    r'([^ \t]+)[ \t]+([^ \t]+)[ \t]+([^ \t]+)[ \t]+'
+    r'\[([^\]]*)\][ \t]+'
+    r'"((?:[^"\\]|\\.)*)"[ \t]+'
+    r'([^ \t]+)[ \t]+([^ \t]+)[ \t]*$'
+)
+_OLD_TOKEN_RE = re.compile(r'(\[[^\]]*\]|"(?:[^"\\]|\\.)*"|([\["]).*|[^ \t]+)', re.DOTALL)
+
+
+def fast_path_then_regex(line, took_fast_path):
+    """parse_line as it was: a split(" ") fast path, then the general regex."""
+    if len(line) > MAX_LINE_BYTES:
+        return ParseError(ParseReason.FIELD_COUNT_MISMATCH, line)
+    if "\\" not in line and "\t" not in line and line.count('"') == 2:
+        parts = line.split(" ")
+        if (len(parts) == 10
+                and parts[0] and parts[1] and parts[2]
+                and parts[3][:1] == "[" and parts[4][-1:] == "]"
+                and "]" not in parts[3] and "]" not in parts[4][:-1]
+                and parts[5][:1] == '"' and parts[7][-1:] == '"'
+                and parts[8] and parts[9]):
+            took_fast_path.append(line)
+            return clf._build(parts[0], parts[1], parts[2],
+                              parts[3][1:] + " " + parts[4][:-1],
+                              [parts[5][1:], parts[6], parts[7][:-1]],
+                              parts[8], parts[9], line)
+    m = _OLD_LINE_RE.match(line)
+    if m is None:
+        return clf._diagnose(line)
+    host, ident, authuser, datestr, request, status_s, bytes_s = m.groups()
+    return clf._build(host, ident, authuser, datestr,
+                      clf._split_request(request), status_s, bytes_s, line)
+
+
+def test_one_matcher_equals_fast_path_then_regex():
+    rng = random.Random(8)
+    took_fast_path = []
+    diagnosed = 0
+    for _ in range(20_000 // 4):
+        clean = random_clf_line(rng)
+        for _ in range(4):  # four edited copies of each line
+            line = clean
+            for _ in range(rng.randint(1, 4)):
+                i = rng.randrange(len(line) + 1)
+                edit = rng.randrange(3)  # insert, delete or replace one character
+                line = (line[:i] + (rng.choice(' \t"\\[]\r\n\x0b\xa0') if edit != 1 else "")
+                        + line[i + (edit != 0):])
+            assert parse_line(line) == fast_path_then_regex(line, took_fast_path), repr(line)
+            if _OLD_LINE_RE.match(line) is None:
+                # Both sides then call _diagnose, which reads only these tokens.
+                diagnosed += 1
+                assert clf._TOKEN_RE.findall(line) == _OLD_TOKEN_RE.findall(line), repr(line)
+    # Every branch of the oracle ran: fast path, regex match, _diagnose.
+    assert min(len(took_fast_path), 20_000 - len(took_fast_path) - diagnosed, diagnosed) > 1_000
 
 
 def test_malformed_date_wins_over_later_request_error():

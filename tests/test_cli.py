@@ -415,10 +415,24 @@ def _failing_run(case, tmp_path, log, tax):
                 "--out", str(out)], out
     if case == "bad-policy-status":
         return cluster + ["--policy-status", "x"], out
-    assert case == "truncated-gzip"
     gz = tmp_path / "log.gz"
     with open(log, "rb") as f:
         data = gzip.compress(f.read())
+    if case.startswith("corrupt-gzip"):
+        # The first deflate block header (after the 10-byte gzip header)
+        # becomes the reserved block type 3: zlib rejects the stream.
+        gz.write_bytes(data[:10] + b"\xff" + data[11:])
+        if case == "corrupt-gzip-cluster":
+            return ["cluster", str(gz), "--taxonomy", tax, "--out", str(out)], out
+        return ["parse", str(gz), "--out", str(tmp_path / "r.tsv")], tmp_path / "r.tsv"
+    if case == "truncated-gzip-records":
+        records = tmp_path / "records.tsv"
+        assert main(["parse", log, "--out", str(records)]) == 0
+        data = gzip.compress(records.read_bytes())
+        records.unlink()
+        gz.write_bytes(data[:len(data) // 2])
+        return ["cluster", str(gz), "--taxonomy", tax, "--out", str(out)], out
+    assert case == "truncated-gzip"
     gz.write_bytes(data[:len(data) // 2])
     out = tmp_path / "r.tsv"
     return ["parse", str(gz), "--out", str(out)], out
@@ -426,13 +440,16 @@ def _failing_run(case, tmp_path, log, tax):
 
 @pytest.mark.parametrize("case", [
     "tau-above-1", "negative-sigma", "missing-out-dir", "out-is-a-file",
-    "taxonomy-not-utf8", "taxonomy-too-deep", "bad-policy-status", "truncated-gzip"])
+    "taxonomy-not-utf8", "taxonomy-too-deep", "bad-policy-status", "truncated-gzip",
+    "corrupt-gzip-parse", "corrupt-gzip-cluster", "truncated-gzip-records"])
 def test_failure_prints_one_error_line(case, tmp_path, capsys, sample_log_path, data_dir):
     argv, target = _failing_run(case, tmp_path, str(sample_log_path),
                                 str(data_dir / "taxonomy.tsv"))
     code, _, stderr = run(capsys, *argv)
     assert code == 1
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error:")
+    if "gzip" in case:
+        assert f"cannot read {tmp_path / 'log.gz'}: " in stderr
     assert list(tmp_path.rglob(".tmp-*~")) == []
     assert not target.exists()
     if case == "out-is-a-file":
