@@ -3,9 +3,11 @@
 When no curated taxonomy exists, sites are profiled by the URL tokens of
 their logged pages and grouped by single-linkage clustering over Jaccard
 similarity of those token sets: a cluster is a connected component of the
-graph whose edges join the site pairs at least sigma-similar (the same
-threshold join that links similar users into communities; above sigma 0,
-only sites that share a token, or that both have none, are compared). The
+graph whose edges join the site pairs at least sigma-similar. The edges
+come from the same threshold join that links similar users, with each
+token weighted 1, so a dot product is the size of an intersection and a
+squared norm the size of a set; above sigma 0, only sites that share a
+token are scored, and two sites without tokens are linked. The
 result is a two-level taxonomy (cluster -> member sites) usable by every
 downstream stage, with top-token keyword summaries and depth-defaulted
 weights.
@@ -50,14 +52,15 @@ def profile_sites(refs: Iterable[PageRef]) -> list[SiteProfile]:
     return [SiteProfile(site, tokens[site], hits[site]) for site in sorted(hits)]
 
 
+def _jaccard(inter: int, na: int, nb: int) -> float:
+    """Jaccard from the intersection size and the two set sizes."""
+    union = na + nb - inter
+    return inter / union if union else 1.0
+
+
 def jaccard(a: set, b: set) -> float:
     """Jaccard similarity of two sets; two empty sets count as identical."""
-    if not a and not b:
-        return 1.0
-    inter = len(a & b)
-    if inter == 0:
-        return 0.0
-    return inter / len(a | b)
+    return _jaccard(len(a & b), len(a), len(b))
 
 
 def cluster_sites(profiles: Sequence[SiteProfile], sigma: float = DEFAULT_SIGMA) -> list[tuple[str, ...]]:
@@ -70,8 +73,8 @@ def cluster_sites(profiles: Sequence[SiteProfile], sigma: float = DEFAULT_SIGMA)
     """
     if not sigma >= 0.0:
         raise ValueError(f"sigma must be >= 0: {sigma!r}")
-    tokens = {p.site: set(p.tokens) for p in profiles}
-    adj = threshold_join(tokens, lambda t: t, jaccard, sigma)
+    adj = threshold_join({p.site: dict.fromkeys(p.tokens, 1) for p in profiles},
+                         _jaccard, sigma)
     clusters: list[tuple[str, ...]] = []
     seen: set[str] = set()
     for site in adj:

@@ -111,10 +111,10 @@ def read_records(path: str) -> tuple[list[LogRecord], Counter]:
 
 def _policy_from_args(args) -> FilterPolicy:
     methods = frozenset(m.strip() for m in args.policy_methods.split(",") if m.strip())
-    try:
-        classes = frozenset(int(c) for c in args.policy_status.split(",") if c.strip())
-    except ValueError:
-        raise ValueError("bad --policy-status: expected digits like '2,3'") from None
+    statuses = {c.strip() for c in args.policy_status.split(",")} - {""}
+    if not statuses <= set("12345"):
+        raise ValueError("bad --policy-status: expected status classes 1-5 like '2,3'")
+    classes = frozenset(map(int, statuses))
     if not methods or not classes:
         raise ValueError("policy must keep at least one method and status class")
     return FilterPolicy(methods=methods, status_classes=classes)

@@ -1,10 +1,11 @@
 """User-community discovery and pruned community directories.
 
 Users become vertices of a similarity graph (cosine over their usage
-vectors, thresholded at tau; above tau 0, only users who share a category
-are compared, since any other pair scores 0); communities are the maximal
-cliques of that graph, enumerated with Bron-Kerbosch pivoting, so
-communities may overlap.
+vectors, thresholded at tau); the dot products come from one pass over a
+category -> (user, count) inverted index, so above tau 0 only users who
+share a category are scored, since any other pair scores 0. Communities
+are the maximal cliques of that graph, enumerated with Bron-Kerbosch
+pivoting, so communities may overlap.
 Each community's directory keeps the categories whose score, the product
 of a-priori category informativeness and the fraction of the community's
 hits falling inside the category's subtree, clears theta, plus all their
@@ -17,7 +18,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping
 
 from .classify import UsageVector
 from .taxonomy import ROOT, Taxonomy, ancestors
@@ -26,8 +27,6 @@ DEFAULT_TAU = 0.5
 DEFAULT_THETA = 0.1
 DEFAULT_MIN_SIZE = 2
 DEFAULT_CLIQUE_CAP = 1_000_000
-
-T = TypeVar("T")
 
 
 class ExplosionGuardError(RuntimeError):
@@ -43,9 +42,6 @@ class SimilarityGraph:
     vertices: tuple[str, ...]
     adjacency: dict[str, frozenset[str]]
     tau: float
-
-    def edges(self) -> list[tuple[str, str]]:
-        return sorted((u, v) for u in self.vertices for v in self.adjacency[u] if u < v)
 
 
 @dataclass(frozen=True)
@@ -66,70 +62,61 @@ class CommunityDirectory:
     theta: float
 
 
-def _cosine(a: tuple[Mapping[str, int], int], b: tuple[Mapping[str, int], int]) -> float:
-    """Cosine of two (counts, squared norm) pairs."""
-    (ca, na), (cb, nb) = a, b
-    if len(cb) < len(ca):
-        ca, cb = cb, ca
-    dot = 0
-    for key, x in ca.items():
-        y = cb.get(key)
-        if y:
-            dot += x * y
+def _cosine(dot: int, na: int, nb: int) -> float:
+    """Cosine from a dot product and the two squared norms."""
     if dot == 0:
         return 0.0
     # na*nb is an exact integer, so parallel vectors hit exactly 1.0.
     return min(1.0, dot / math.sqrt(na * nb))
 
 
-def _with_norm(v: UsageVector) -> tuple[Mapping[str, int], int]:
-    return v.counts, sum(x * x for x in v.counts.values())
-
-
 def similarity(u: UsageVector, v: UsageVector) -> float:
     """Cosine similarity of two usage vectors (unspecified coordinate included)."""
-    return _cosine(_with_norm(u), _with_norm(v))
+    a, b = u.counts, v.counts
+    return _cosine(sum(n * b.get(k, 0) for k, n in a.items()),
+                   sum(n * n for n in a.values()), sum(n * n for n in b.values()))
 
 
-# The one key of every item when every pair must be compared (threshold <= 0),
-# and the one key of every keyless item otherwise.
-_EVERY_PAIR = object()
-_NO_KEYS = object()
-
-
-def threshold_join(items: Mapping[str, T], keys: Callable[[T], Collection],
-                   sim: Callable[[T, T], float],
+def threshold_join(weights: Mapping[str, Mapping[object, int]],
+                   score: Callable[[int, int, int], float],
                    threshold: float) -> dict[str, frozenset[str]]:
-    """Adjacency of the id pairs whose similarity reaches threshold, keys in sorted order.
+    """Adjacency of the id pairs whose score reaches threshold, keys in sorted order.
 
-    An inverted-index join: items are visited in sorted-id order, each one
-    looked up in a key -> ids-so-far index for its candidate partners, then
-    appended to its keys' posting lists (``keys(item)``; an empty collection
-    makes the item keyless). Above threshold 0 the candidates are the pairs
-    that share a key, plus every pair of keyless items; at threshold <= 0
-    every pair is a candidate. Each candidate (x earlier, y later) is kept
-    when ``sim(x, y) >= threshold``, so the cost grows with the candidate
-    pairs, not with all n(n-1)/2 pairs, when keys are sparse.
-
-    Contract on ``sim`` and ``keys``: for a positive threshold, two items
-    that share no key must score below it unless both are keyless. Cosine
-    over positive counts (0.0 without a shared category) and Jaccard over
-    token sets (0.0 without a shared token; 1.0 for two empty sets) meet it.
+    Each item is a {key: positive int} map. An inverted-index join: items are
+    visited in sorted-id order, and each one adds up its dot product with the
+    earlier items from its keys' {id: weight} postings, then adds itself to
+    them. A pair is linked when ``score(dot, |x|², |y|²) >= threshold``, so
+    the cost grows with the posting entries scanned, not with all n(n-1)/2
+    pairs, when keys are sparse. Pairs that share no key are never scored:
+    they are linked only when both items are empty and ``score(0, 0, 0)``
+    reaches threshold. At threshold <= 0 every pair is linked unscored,
+    since no score is negative.
     """
-    ordered = sorted(items.items())
-    index: dict[object, list[int]] = {}
-    adj: dict[str, set[str]] = {}
-    for j, (b, y) in enumerate(ordered):
-        postings = [index.setdefault(k, []) for k in
-                    ((_EVERY_PAIR,) if threshold <= 0 else keys(y) or (_NO_KEYS,))]
-        near = adj[b] = set()
-        for i in set().union(*postings):
-            a, x = ordered[i]
-            if sim(x, y) >= threshold:
-                near.add(a)
+    ordered = sorted(weights)
+    if threshold <= 0:
+        everyone = frozenset(ordered)
+        return {b: everyone - {b} for b in ordered}
+    adj: dict[str, set[str]] = {b: set() for b in ordered}
+    # Dict postings, not lists of (id, weight) tuples: an entry is no object
+    # the garbage collector must track, so a large heap is not rescanned.
+    index: dict[object, dict[str, int]] = {}
+    norms: dict[str, int] = {}
+    for b in ordered:
+        dots: dict[str, int] = {}
+        for key, w in weights[b].items():
+            posting = index.setdefault(key, {})
+            for a, v in posting.items():
+                dots[a] = dots.get(a, 0) + v * w
+            posting[b] = w
+        nb = norms[b] = sum(w * w for w in weights[b].values())
+        for a, dot in dots.items():
+            if score(dot, norms[a], nb) >= threshold:
                 adj[a].add(b)
-        for posting in postings:
-            posting.append(j)
+                adj[b].add(a)
+    empty = {b for b in ordered if not weights[b]}
+    if len(empty) > 1 and score(0, 0, 0) >= threshold:
+        for b in empty:
+            adj[b] |= empty - {b}
     return {k: frozenset(n) for k, n in adj.items()}
 
 
@@ -138,12 +125,12 @@ def build_graph(vectors: Iterable[UsageVector], tau: float = DEFAULT_TAU) -> Sim
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1]: {tau!r}")
     vecs = list(vectors)
-    by_user = {v.user: v for v in vecs}
-    if len(by_user) != len(vecs):
+    counts = {v.user: v.counts for v in vecs}
+    if len(counts) != len(vecs):
         raise ValueError("duplicate user ids in vectors")
-    # Each squared norm is computed once, not once per candidate pair.
-    with_norms = {user: _with_norm(v) for user, v in by_user.items()}
-    adj = threshold_join(with_norms, lambda cn: cn[0], _cosine, tau)
+    if any(n < 0 for c in counts.values() for n in c.values()):
+        raise ValueError("negative count in vectors")
+    adj = threshold_join(counts, _cosine, tau)
     return SimilarityGraph(tuple(adj), adj, tau)
 
 
@@ -240,8 +227,13 @@ def build_community_directory(tax: Taxonomy, community: Community,
 def directory_text(cdir: CommunityDirectory, tax: Taxonomy) -> str:
     """Indented deterministic text tree, one ``path  score`` line per category."""
     selected = cdir.selected
-    lines = [f"{'  ' * d}{path}  {selected[path]:.6f}"
-             for path, d in tax.walk() if path in selected]
+    kids = tax.children_map
+    # A selection is ancestor-closed, so only selected children are descended.
+    lines, stack = [], [(ROOT, 0)] if selected else []
+    while stack:
+        path, d = stack.pop()
+        lines.append(f"{'  ' * d}{path}  {selected[path]:.6f}")
+        stack.extend((c, d + 1) for c in reversed(kids[path]) if c in selected)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -413,8 +413,9 @@ def _failing_run(case, tmp_path, log, tax):
         deep.write_text("Top" + "/c" * 600 + "\tw3schools,xml\n")
         return ["cluster", log, "--taxonomy", str(deep), "--keep-singletons",
                 "--out", str(out)], out
-    if case == "bad-policy-status":
-        return cluster + ["--policy-status", "x"], out
+    if case.startswith("bad-policy-status"):
+        # Out-of-range classes and non-ASCII digits are no status class.
+        return cluster + ["--policy-status", case.partition(":")[2] or "x"], out
     gz = tmp_path / "log.gz"
     with open(log, "rb") as f:
         data = gzip.compress(f.read())
@@ -440,7 +441,9 @@ def _failing_run(case, tmp_path, log, tax):
 
 @pytest.mark.parametrize("case", [
     "tau-above-1", "negative-sigma", "missing-out-dir", "out-is-a-file",
-    "taxonomy-not-utf8", "taxonomy-too-deep", "bad-policy-status", "truncated-gzip",
+    "taxonomy-not-utf8", "taxonomy-too-deep", "bad-policy-status",
+    "bad-policy-status:7", "bad-policy-status:0", "bad-policy-status:-2",
+    "bad-policy-status:1_0", "bad-policy-status:2,\u0663", "truncated-gzip",
     "corrupt-gzip-parse", "corrupt-gzip-cluster", "truncated-gzip-records"])
 def test_failure_prints_one_error_line(case, tmp_path, capsys, sample_log_path, data_dir):
     argv, target = _failing_run(case, tmp_path, str(sample_log_path),
@@ -450,6 +453,8 @@ def test_failure_prints_one_error_line(case, tmp_path, capsys, sample_log_path, 
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error:")
     if "gzip" in case:
         assert f"cannot read {tmp_path / 'log.gz'}: " in stderr
+    if case.startswith("bad-policy-status"):
+        assert stderr.startswith("error: bad --policy-status: ")
     assert list(tmp_path.rglob(".tmp-*~")) == []
     assert not target.exists()
     if case == "out-is-a-file":

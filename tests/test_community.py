@@ -7,11 +7,12 @@ import tracemalloc
 
 import pytest
 
-from commdir.artificial import jaccard
+from commdir.artificial import _jaccard, jaccard
 from commdir.classify import UNSPECIFIED, UsageVector, build_usage_vectors
 from commdir.community import (
     Community,
     ExplosionGuardError,
+    _cosine,
     SimilarityGraph,
     build_community_directory,
     build_graph,
@@ -75,13 +76,13 @@ def test_similarity_counts_unspecified_coordinate():
 def test_build_graph_tau_zero_is_complete():
     vectors = [vec("a", {"A": 1}), vec("b", {"B": 1}), vec("c", {"C": 1})]
     graph = build_graph(vectors, 0.0)
-    assert graph.edges() == [("a", "b"), ("a", "c"), ("b", "c")]
+    assert graph.adjacency == {"a": {"b", "c"}, "b": {"a", "c"}, "c": {"a", "b"}}
 
 
 def test_build_graph_tau_one_distinct_directions_empty():
     vectors = [vec("a", {"A": 2, "B": 1}), vec("b", {"A": 1, "B": 2}),
                vec("c", {"C": 1})]
-    assert build_graph(vectors, 1.0).edges() == []
+    assert build_graph(vectors, 1.0).adjacency == {"a": set(), "b": set(), "c": set()}
 
 
 def test_build_graph_mid_threshold():
@@ -90,9 +91,9 @@ def test_build_graph_mid_threshold():
     c = vec("c", {"A": 1})
     # sim(a,b)=1.0, sim(a,c)=sim(b,c)=0.7071..., all >= 0.5
     graph = build_graph([a, b, c], 0.5)
-    assert graph.edges() == [("a", "b"), ("a", "c"), ("b", "c")]
+    assert graph.adjacency == {"a": {"b", "c"}, "b": {"a", "c"}, "c": {"a", "b"}}
     graph = build_graph([a, b, c], 0.8)
-    assert graph.edges() == [("a", "b")]
+    assert graph.adjacency == {"a": {"b"}, "b": {"a"}, "c": set()}
 
 
 def test_triangle_is_single_community():
@@ -262,11 +263,16 @@ def all_pairs_join(items, sim, threshold):
     return {k: frozenset(n) for k, n in adj.items()}
 
 
-def assert_joins_equal(items, keys, sim, threshold):
-    got = threshold_join(items, keys, sim, threshold)
+def assert_joins_equal(weights, score, items, sim, threshold):
+    got = threshold_join(weights, score, threshold)
     want = all_pairs_join(items, sim, threshold)
     assert list(got) == list(want)
     assert got == want
+
+
+def assert_cosine_joins_equal(vectors, tau):
+    assert_joins_equal({u: v.counts for u, v in vectors.items()}, _cosine,
+                       vectors, similarity, tau)
 
 
 def shuffled_dict(rng, pairs):
@@ -279,13 +285,13 @@ def test_cosine_join_matches_all_pairs_oracle():
     rng = random.Random(61)
     cats = [f"Top/C{i}" for i in range(8)] + [UNSPECIFIED]
     for _ in range(80):
-        # empty vectors are keyless; they join nothing above tau 0
+        # empty vectors share no key; they join nothing above tau 0
         vectors = shuffled_dict(rng, (
             (f"u{i}", vec(f"u{i}", {c: rng.randint(1, 5)
                                     for c in rng.sample(cats, rng.randint(0, 3))}))
             for i in range(rng.randint(0, 16))))
         for tau in (0.0, rng.random(), 0.5, 0.8, 1.0):
-            assert_joins_equal(vectors, lambda v: v.counts, similarity, tau)
+            assert_cosine_joins_equal(vectors, tau)
 
 
 def test_jaccard_join_matches_all_pairs_oracle():
@@ -296,18 +302,19 @@ def test_jaccard_join_matches_all_pairs_oracle():
             (f"s{i}.net", set(rng.sample("abcdefgh", rng.choice([0, 0, 1, 2, 3, 4]))))
             for i in range(rng.randint(0, 16))))
         for sigma in (0.0, rng.random(), 0.5, 1.0, 1.5, 3.0):
-            assert_joins_equal(sets, lambda t: t, jaccard, sigma)
+            assert_joins_equal({k: dict.fromkeys(t, 1) for k, t in sets.items()},
+                               _jaccard, sets, jaccard, sigma)
 
 
 def test_join_when_every_user_shares_one_category():
-    # The degenerate input for the index: every pair is a candidate.
+    # The degenerate input for the index: every pair shares a key.
     rng = random.Random(63)
     for _ in range(20):
         vectors = {f"u{i}": vec(f"u{i}", {"Top/Hot": rng.randint(1, 3),
                                           f"Top/C{rng.randrange(6)}": rng.randint(1, 9)})
                    for i in range(rng.randint(2, 20))}
         for tau in (0.0, 0.3, 0.6, 0.8, 0.95, 1.0):
-            assert_joins_equal(vectors, lambda v: v.counts, similarity, tau)
+            assert_cosine_joins_equal(vectors, tau)
 
 
 def test_join_scores_only_pairs_that_share_a_key():
@@ -316,22 +323,30 @@ def test_join_scores_only_pairs_that_share_a_key():
     vectors = {f"u{i:03d}": vec(f"u{i:03d}", {c: rng.randint(1, 4)
                                               for c in rng.sample(cats, rng.randint(1, 3))})
                for i in range(300)}
+    counts = {u: v.counts for u, v in vectors.items()}
     calls = 0
 
-    def counting_similarity(u, v):
+    def counting_cosine(dot, na, nb):
         nonlocal calls
         calls += 1
-        return similarity(u, v)
+        return _cosine(dot, na, nb)
 
     sharing = sum(1 for u, v in itertools.combinations(vectors.values(), 2)
                   if u.counts.keys() & v.counts.keys())
-    got = threshold_join(vectors, lambda v: v.counts, counting_similarity, 0.5)
+    got = threshold_join(counts, counting_cosine, 0.5)
     assert got == all_pairs_join(vectors, similarity, 0.5)
     assert calls == sharing
     assert sharing < 300 * 299 // 2 // 10
     calls = 0
-    threshold_join(vectors, lambda v: v.counts, counting_similarity, 0.0)
-    assert calls == 300 * 299 // 2
+    got = threshold_join(counts, counting_cosine, 0.0)
+    assert got == all_pairs_join(vectors, similarity, 0.0)
+    assert calls == 0
+
+
+def test_build_graph_rejects_negative_counts():
+    # A negative count can make a cosine negative, which tau 0 must not link.
+    with pytest.raises(ValueError, match="negative count"):
+        build_graph([vec("a", {"X": -1}), vec("b", {"X": 1})], 0.0)
 
 
 def test_community_profile_sums_members():
