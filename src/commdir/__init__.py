@@ -15,8 +15,8 @@ from .clf import (DEFAULT_POLICY, FilterPolicy, LogRecord, LogStreamError,
                   format_record, open_log, parse_line, parse_stream)
 from .community import (Community, CommunityDirectory, ExplosionGuardError,
                         SimilarityGraph, build_community_directory, build_graph,
-                        category_scores, community_profile, directory_doc,
-                        directory_text, find_communities, similarity)
+                        community_profile, directory_doc, directory_text,
+                        find_communities, similarity)
 from .metrics import build_report, coverage, report_json, report_text, shrinkage
 from .taxonomy import (Category, Taxonomy, TaxonomyError, add_or_update_category,
                        ancestors, load_taxonomy, make_taxonomy, serialize_taxonomy)

@@ -103,6 +103,7 @@ _MONTH_NAME = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
 # one character. Unrolled into runs between escapes, so the engine does not
 # branch on every character.
 _REQUEST = r'[^"\\]*(?:\\.[^"\\]*)*'
+_REQUEST_RE = re.compile(_REQUEST)
 
 # A CLF line: fields separated by runs of blanks (space or tab), the date
 # bracketed, the request quoted.
@@ -310,8 +311,14 @@ def record_from_tsv_line(line: str, lineno: int) -> LogRecord:
     Raises ValueError naming the line number and the ParseReason.
     """
     cols = line.split("\t")
+    # The request columns must be what a quoted CLF request splits into, so
+    # that format_record writes a line parse_line reads back.
+    tokens = cols[4:7]
+    request = " ".join(tokens)
+    if not (_REQUEST_RE.fullmatch(request) and _split_request(request) == tokens):
+        tokens = []
     # A name column must be one non-empty CLF field: no blank inside.
-    result = (_build(cols[0], cols[1], cols[2], cols[3], cols[4:7], cols[7], cols[8], line)
+    result = (_build(cols[0], cols[1], cols[2], cols[3], tokens, cols[7], cols[8], line)
               if len(cols) == 9 and all(c and " " not in c for c in cols[:3])
               else ParseError(ParseReason.FIELD_COUNT_MISMATCH, line))
     if type(result) is ParseError:

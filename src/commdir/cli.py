@@ -84,8 +84,11 @@ def atomic_write(path: str, text: str) -> None:
 def read_records(path: str) -> tuple[list[LogRecord], Counter]:
     """Read either a raw CLF log or a ``parse``-produced records TSV.
 
-    A leading tab-containing ``#`` header marks the TSV form. Returns the
-    records plus a Counter of parse-error reasons (empty for TSV input).
+    A leading tab-containing ``#`` header marks the TSV form; after it only
+    blank lines and repeated headers (concatenated parse outputs) are skipped,
+    so a row whose host starts with ``#`` is read.
+    Returns the records plus a Counter of parse-error reasons (empty for TSV
+    input).
     """
     errors: Counter = Counter()
     with clf.open_log(path) as f:
@@ -95,7 +98,7 @@ def read_records(path: str) -> tuple[list[LogRecord], Counter]:
             records = []
             for lineno, raw in lines:
                 line = raw.rstrip("\r\n")
-                if not line or line.startswith("#"):
+                if not line or line == clf.RECORDS_HEADER:
                     continue
                 records.append(clf.record_from_tsv_line(line, lineno))
             return records, errors

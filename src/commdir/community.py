@@ -194,27 +194,25 @@ def community_profile(members: Iterable[str], vectors: Iterable[UsageVector]) ->
     return Community(member_list, dict(sorted(profile.items())), sum(profile.values()))
 
 
-def category_scores(community: Community, tax: Taxonomy) -> dict[str, float]:
-    """weight(path) * fraction of the community's hits in path's subtree, per category."""
-    hits: Counter = Counter()
-    for cat, n in community.profile.items():
-        for path in (*ancestors(cat), cat):
-            hits[path] += n
-    return {path: c.weight * (hits[path] / community.total)
-            for path, c in tax.categories.items()}
-
-
 def build_community_directory(tax: Taxonomy, community: Community,
                               theta: float = DEFAULT_THETA) -> CommunityDirectory:
     """Select categories scoring >= theta, closed upward over ancestors.
 
-    Ancestors pulled in for closure keep their own (possibly sub-theta)
-    scores. theta=0 selects the whole taxonomy; an empty selection means no
-    category reached theta.
+    A category scores weight * (hits in its subtree / community total), so
+    only categories on a hit path score above 0 and only those are scored,
+    except at theta=0, which selects the whole taxonomy. Ancestors pulled in
+    for closure keep their own (possibly sub-theta) scores; an empty
+    selection means no category reached theta.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1]: {theta!r}")
-    scores = category_scores(community, tax)
+    hits: Counter = Counter()
+    for cat, n in community.profile.items():
+        for path in (*ancestors(cat), cat):
+            hits[path] += n
+    cats = tax.categories
+    scores = {path: cats[path].weight * (hits[path] / community.total)
+              for path in (cats if theta == 0 else hits) if path in cats}
     selected: dict[str, float] = {}
     for path, score in scores.items():
         if score >= theta:

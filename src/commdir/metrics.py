@@ -138,4 +138,5 @@ def report_text(report: dict) -> str:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """Compact one-line JSON: unindented, so the C encoder renders it."""
+    return json.dumps(report) + "\n"

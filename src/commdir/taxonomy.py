@@ -142,11 +142,27 @@ def _validate_path(path: str) -> None:
         raise InvalidPathError(f"category path is {depth(path)} levels deep, more than {MAX_DEPTH}")
 
 
+# Characters that end a field of the taxonomy file (a keyword also ends at a comma).
+_BREAKS = frozenset("\t\r\n")
+_KEYWORD_BREAKS = _BREAKS | {","}
+
+
+def _field(kind: str, value: str, breaks: frozenset[str] = _BREAKS) -> str:
+    """``value``, if it reads back unchanged from the file format."""
+    if not value or value != value.strip() or not breaks.isdisjoint(value):
+        raise TaxonomyError(f"{kind} is empty, has blanks at either end or holds one of "
+                            f"{''.join(sorted(breaks))!r}: {value!r}")
+    return value
+
+
 def make_taxonomy(entries: Mapping[str, tuple[Iterable[str], float | None]]) -> Taxonomy:
     """Build a taxonomy from {path: (keywords, weight-or-None)}.
 
     Missing ancestors are created with empty keywords; None weights take the
-    depth/max_depth default, recomputed over the completed tree.
+    depth/max_depth default, recomputed over the completed tree. Paths
+    (ancestors included) and keywords must read back from the file format:
+    non-empty, no tab, CR or LF, no surrounding blanks, and no comma in a
+    keyword.
     """
     filled: dict[str, tuple[Iterable[str], float | None]] = {}
     for path, entry in entries.items():
@@ -159,7 +175,9 @@ def make_taxonomy(entries: Mapping[str, tuple[Iterable[str], float | None]]) -> 
     max_d = max(depth(p) for p in filled)
     cats: dict[str, Category] = {}
     for path, (keywords, weight) in filled.items():
-        kwset = frozenset(str(k).lower() for k in keywords)
+        # Ancestors too: "Top/a /b" would create "Top/a ", which reads back as "Top/a".
+        _field("category path", path)
+        kwset = frozenset(_field("keyword", str(k), _KEYWORD_BREAKS).lower() for k in keywords)
         if weight is None:
             cats[path] = Category(path, kwset, depth(path) / max_d if max_d else 0.0)
         else:

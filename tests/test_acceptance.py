@@ -18,7 +18,6 @@ from commdir.community import (
     SimilarityGraph,
     build_community_directory,
     build_graph,
-    category_scores,
     community_profile,
     find_communities,
 )
@@ -150,7 +149,8 @@ def test_directory_invariants_randomized():
         scaled = Community(com.members,
                            {c: k * n for c, n in com.profile.items()},
                            k * com.total)
-        scores, scaled_scores = category_scores(com, tax), category_scores(scaled, tax)
+        scores = full.selected
+        scaled_scores = build_community_directory(tax, scaled, 0.0).selected
         for path in tax.paths:
             assert abs(scores[path] - scaled_scores[path]) <= 1e-12
     record_pass("directory invariants: closure, theta monotonicity, theta=0 "

@@ -25,6 +25,7 @@ from commdir.clf import (
     parse_line,
     parse_stream,
     parse_timestamp,
+    record_from_tsv_line,
 )
 from loggen import random_clf_line
 
@@ -323,3 +324,24 @@ def test_round_trip_property(status, size, ts, offset_minutes):
     rec = LogRecord("host.example", None, "user", ts, "GET", "/x/y?z=1",
                     "HTTP/1.1", status, size)
     assert parse_line(format_record(rec)) == rec
+
+
+_REQUEST_COLUMN = st.text(alphabet='a/ "\\', max_size=6)
+
+
+@given(_REQUEST_COLUMN, _REQUEST_COLUMN, _REQUEST_COLUMN)
+def test_records_tsv_request_is_read_iff_its_clf_line_reads_back(method, resource, protocol):
+    row = "\t".join(("h", "-", "-", "10/Oct/2000:13:55:36 -0700",
+                     method, resource, protocol, "200", "5"))
+    try:
+        rec = record_from_tsv_line(row, 1)
+    except ValueError as exc:
+        assert str(exc) == "records file line 1: MalformedRequest"
+        rec = None
+    line = f'h - - [10/Oct/2000:13:55:36 -0700] "{method} {resource} {protocol}" 200 5'
+    parsed = parse_line(line)
+    reads_back = type(parsed) is LogRecord and \
+        (parsed.method, parsed.resource, parsed.protocol) == (method, resource, protocol)
+    assert (rec is not None) == reads_back
+    if rec is not None:
+        assert parse_line(format_record(rec)) == rec == parsed

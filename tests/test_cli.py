@@ -319,6 +319,20 @@ def test_taxonomy_bad_weight_fails(capsys, tmp_path, data_dir):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["Top/News", "--keywords", "news\npress"], ["Top/News", "--keywords", "news\tpress"],
+    ["Top/News\tWire"], ["Top/News\nWire"],
+])
+def test_taxonomy_edit_that_would_not_read_back_fails(argv, capsys, tmp_path, data_dir):
+    tax = tmp_path / "t.tsv"
+    shutil.copy(data_dir / "taxonomy.tsv", tax)
+    code, _, stderr = run(capsys, "taxonomy", "add", str(tax), *argv)
+    assert code == 1
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error:")
+    assert tax.read_bytes() == (data_dir / "taxonomy.tsv").read_bytes()
+    assert run(capsys, "taxonomy", "show", str(tax))[0] == 0
+
+
 def test_usage_error_exits_1(capsys, tmp_path, sample_log_path, data_dir):
     assert run(capsys, "cluster")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
@@ -342,7 +356,9 @@ def test_usage_error_exits_1(capsys, tmp_path, sample_log_path, data_dir):
     (3, "10/Oct/2000", "MalformedDate"), (4, "", "MalformedRequest"),
     (0, "", "FieldCountMismatch"), (1, "", "FieldCountMismatch"), (2, "", "FieldCountMismatch"),
     (0, "a b", "FieldCountMismatch"), (1, "x ", "FieldCountMismatch"),
-    (2, " frank", "FieldCountMismatch"),
+    (2, " frank", "FieldCountMismatch"), (4, "G T", "MalformedRequest"),
+    (5, "/www.x.com/a b.html", "MalformedRequest"), (5, '/www.x.com/a"b.html', "MalformedRequest"),
+    (6, "HTTP/1.0\\", "MalformedRequest"),
 ])
 def test_records_tsv_rows_follow_clf_field_rules(column, value, reason, tmp_path, capsys,
                                                  sample_log_path):
@@ -357,6 +373,30 @@ def test_records_tsv_rows_follow_clf_field_rules(column, value, reason, tmp_path
     assert code == 1
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error:")
     assert stderr.rstrip().endswith(f"records file line 4: {reason}")
+
+
+def test_records_tsv_row_whose_host_starts_with_hash_is_read(tmp_path, capsys,
+                                                            sample_log_path, data_dir):
+    # Only the header of a records TSV is a comment line; a host may start with "#".
+    log = tmp_path / "hash.log"
+    log.write_text('#a - - [10/Oct/2000:13:55:36 -0700] "GET /www.x.com/a.html HTTP/1.0" 200 5\n'
+                   + sample_log_path.read_text())
+    records = tmp_path / "records.tsv"
+    assert run(capsys, "parse", str(log), "--out", str(records))[0] == 0
+    assert run(capsys, "sites", str(records)) == run(capsys, "sites", str(log))
+    trees = []
+    for source in (log, records):
+        out = tmp_path / f"out-{source.suffix[1:]}"
+        assert run(capsys, "cluster", str(source), "--taxonomy", str(data_dir / "taxonomy.tsv"),
+                   "--keep-singletons", "--out", str(out))[0] == 0
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert trees[0] == trees[1]
+    assert b"#a\t" in trees[1]["usage-vectors.tsv"]
+    # Two parse outputs concatenated read as the two raw logs concatenated.
+    doubled_log, doubled_tsv = tmp_path / "doubled.log", tmp_path / "doubled.tsv"
+    doubled_log.write_text(log.read_text() * 2)
+    doubled_tsv.write_text(records.read_text() * 2)
+    assert run(capsys, "sites", str(doubled_tsv)) == run(capsys, "sites", str(doubled_log))
 
 
 def test_parse_output_with_tab_in_request_reads_back(tmp_path, capsys, sample_log_path,

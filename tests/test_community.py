@@ -16,7 +16,6 @@ from commdir.community import (
     SimilarityGraph,
     build_community_directory,
     build_graph,
-    category_scores,
     community_profile,
     directory_doc,
     directory_text,
@@ -357,25 +356,30 @@ def test_community_profile_sums_members():
     assert com.total == 7
 
 
+def full_scores(com, tax):
+    """Every category's score: theta 0 selects the whole taxonomy."""
+    return build_community_directory(tax, com, 0.0).selected
+
+
 def test_score_all_hits_full_weight(fixture_taxonomy):
     com = Community(("u",), {"Top/Computers/XML": 5}, 5)
-    assert category_scores(com, fixture_taxonomy)["Top/Computers/XML"] == 1.0
+    assert full_scores(com, fixture_taxonomy)["Top/Computers/XML"] == 1.0
 
 
 def test_score_zero_when_no_subtree_hits(fixture_taxonomy):
     com = Community(("u",), {"Top/Search": 5}, 5)
-    assert category_scores(com, fixture_taxonomy)["Top/Computers/XML"] == 0.0
+    assert full_scores(com, fixture_taxonomy)["Top/Computers/XML"] == 0.0
 
 
 def test_score_half_weight_half_interest(fixture_taxonomy):
     # Top/Search has depth-default weight 0.5; 6 of 12 hits inside
     com = Community(("u",), {"Top/Search": 6, UNSPECIFIED: 6}, 12)
-    assert category_scores(com, fixture_taxonomy)["Top/Search"] == 0.25
+    assert full_scores(com, fixture_taxonomy)["Top/Search"] == 0.25
 
 
 def test_score_aggregates_subtree(fixture_taxonomy):
     com = Community(("u",), {"Top/Computers/XML": 1, "Top/Computers/HTML": 1}, 2)
-    assert category_scores(com, fixture_taxonomy)["Top/Computers"] == \
+    assert full_scores(com, fixture_taxonomy)["Top/Computers"] == \
         pytest.approx(0.5 * 1.0)
 
 
@@ -386,24 +390,49 @@ def prefix_scan_score(path, community, tax):
     return tax.categories[path].weight * (hits / community.total)
 
 
+def random_taxonomy_and_community(rng):
+    entries = {"Top": ((), rng.choice([None, rng.random()]))}
+    for _ in range(rng.randint(1, 15)):
+        segments = [f"c{rng.randint(0, 4)}" for _ in range(rng.randint(1, 4))]
+        weight = rng.choice([None, rng.random(), 0.0, 1.0])
+        entries["/".join(["Top"] + segments)] = ((), weight)
+    tax = make_taxonomy(entries)
+    # Keys outside the taxonomy: unspecified, unknown children of known
+    # categories, look-alike prefixes and other roots.
+    keys = list(tax.paths) + [UNSPECIFIED, "Top/c1/zz", "Top/c", "Top/c1x",
+                              "Topx/c1", "Other/c1", "Top/", "Top//c1"]
+    profile = {k: rng.randint(1, 20)
+               for k in rng.sample(keys, rng.randint(1, len(keys)))}
+    return tax, Community(("u",), profile, sum(profile.values()))
+
+
 def test_category_scores_match_prefix_scan():
     rng = random.Random(4242)
     for _ in range(300):
-        entries = {"Top": ((), rng.choice([None, rng.random()]))}
-        for _ in range(rng.randint(1, 15)):
-            segments = [f"c{rng.randint(0, 4)}" for _ in range(rng.randint(1, 4))]
-            weight = rng.choice([None, rng.random()])
-            entries["/".join(["Top"] + segments)] = ((), weight)
-        tax = make_taxonomy(entries)
-        # Keys outside the taxonomy: unspecified, unknown children of known
-        # categories, look-alike prefixes and other roots.
-        keys = list(tax.paths) + [UNSPECIFIED, "Top/c1/zz", "Top/c", "Top/c1x",
-                                  "Topx/c1", "Other/c1", "Top/", "Top//c1"]
-        profile = {k: rng.randint(1, 20)
-                   for k in rng.sample(keys, rng.randint(1, len(keys)))}
-        com = Community(("u",), profile, sum(profile.values()))
-        assert category_scores(com, tax) == \
+        tax, com = random_taxonomy_and_community(rng)
+        assert full_scores(com, tax) == \
             {path: prefix_scan_score(path, com, tax) for path in tax.paths}
+
+
+def full_scan_directory(tax, community, theta):
+    """Reference: score every category of the taxonomy, then select from them all."""
+    scores = {path: prefix_scan_score(path, community, tax) for path in tax.paths}
+    selected = {}
+    for path, score in scores.items():
+        if score >= theta:
+            selected[path] = score
+            for anc in ancestors(path):
+                selected.setdefault(anc, scores[anc])
+    return sorted(selected.items())
+
+
+def test_directory_matches_full_scan_selection():
+    rng = random.Random(2718)
+    for _ in range(300):
+        tax, com = random_taxonomy_and_community(rng)
+        for theta in (0.0, 1e-12, 0.01, rng.uniform(0.0, 0.2), 0.5, 1.0):
+            cdir = build_community_directory(tax, com, theta)
+            assert list(cdir.selected.items()) == full_scan_directory(tax, com, theta)
 
 
 def test_directory_theta_zero_selects_everything(sample_records, fixture_taxonomy):
@@ -459,8 +488,8 @@ def test_scores_invariant_under_profile_scaling(fixture_taxonomy):
     profile = {"Top/Computers/XML": 3, "Top/Search": 2, UNSPECIFIED: 1}
     com = Community(("u",), profile, 6)
     scaled = Community(("u",), {k: 7 * v for k, v in profile.items()}, 42)
-    scores = category_scores(com, fixture_taxonomy)
-    scaled_scores = category_scores(scaled, fixture_taxonomy)
+    scores = full_scores(com, fixture_taxonomy)
+    scaled_scores = full_scores(scaled, fixture_taxonomy)
     assert scores.keys() == scaled_scores.keys() == set(fixture_taxonomy.paths)
     for path in fixture_taxonomy.paths:
         assert scores[path] == pytest.approx(scaled_scores[path], abs=1e-12)

@@ -10,6 +10,7 @@ from commdir.taxonomy import (
     DuplicatePathError,
     EmptyFileError,
     InvalidPathError,
+    TaxonomyError,
     add_or_update_category,
     ancestors,
     depth,
@@ -185,3 +186,46 @@ def test_ancestor_closure_always_holds(path_segments):
     for path in tax.paths:
         for anc in ancestors(path):
             assert anc in tax
+
+
+# Characters the file format gives a meaning to, blanks str.strip removes,
+# and line breaks that only str.splitlines (not file reading) honours. Most
+# fields keep those inside, where the format can hold the ones other than
+# tab, CR, LF (and comma in a keyword); the rest may hold them anywhere.
+_ANY_TEXT = st.text(alphabet="aB/,#\t\r\n \x0b\x85\u2028", max_size=5)
+
+
+def _field(inner: str):
+    held = st.builds("{}{}{}".format, st.sampled_from("aB#"),
+                     st.text(alphabet=inner, max_size=3), st.sampled_from("aB"))
+    return st.one_of([held] * 6 + [_ANY_TEXT])
+
+
+_PATHS = st.lists(_field("aB#, \x0b\x85\u2028"), min_size=1, max_size=3).map(
+    lambda segs: "/".join(["Top"] + segs))
+_KEYWORDS = st.lists(_field("aB# \x0b\x85\u2028"), max_size=2)
+
+
+@given(st.dictionaries(_PATHS, st.tuples(_KEYWORDS, st.none() | st.floats(0.0, 1.0)),
+                       min_size=1, max_size=3))
+def test_every_taxonomy_make_taxonomy_accepts_reads_back(entries):
+    try:
+        tax = make_taxonomy(entries)
+    except TaxonomyError:
+        return
+    text = serialize_taxonomy(tax)
+    # Read as a file is read: UTF-8 with universal newlines.
+    again = load_taxonomy(io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8"))
+    assert again.categories == tax.categories
+    assert [c.explicit_weight for c in again.categories.values()] == \
+        [c.explicit_weight for c in tax.categories.values()]
+
+
+@pytest.mark.parametrize("path,keyword", [
+    ("Top/A\nB", "x"), ("Top/A\tB", "x"), ("Top/A\rB", "x"), ("Top/A ", "x"), ("Top/A /B", "x"),
+    ("Top/A", "x\ny"), ("Top/A", "x\ty"), ("Top/A", " x"), ("Top/A", ""), ("Top/A", "x,y"),
+])
+def test_fields_the_file_format_cannot_hold_are_rejected(path, keyword):
+    with pytest.raises(TaxonomyError) as exc:
+        make_taxonomy({path: ([keyword], None)})
+    assert "\n" not in str(exc.value)
