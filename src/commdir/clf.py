@@ -3,8 +3,8 @@
 Streaming parser for proxy/web-server access logs in CLF
 (``host ident authuser [date] "request" status bytes``), with per-line
 error recovery: a bad line yields a typed error value instead of aborting
-the file. Also provides the inverse serializer, the records-TSV row
-format (read under the same field rules), a gzip-aware file opener and a
+the file. Also provides the inverse serializer, whose canonical line
+parses back to the same record, a gzip-aware file opener and a
 method/status filter for restricting records to page fetches worth mining.
 
 All functions here are pure and safe for concurrent use.
@@ -103,7 +103,6 @@ _MONTH_NAME = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
 # one character. Unrolled into runs between escapes, so the engine does not
 # branch on every character.
 _REQUEST = r'[^"\\]*(?:\\.[^"\\]*)*'
-_REQUEST_RE = re.compile(_REQUEST)
 
 # A CLF line: fields separated by runs of blanks (space or tab), the date
 # bracketed, the request quoted.
@@ -123,10 +122,6 @@ _TOKEN_RE = re.compile(r'(\[[^\]]*\]|"' + _REQUEST + r'"|([\["]).*|[^ \t]+)', re
 # "\\ " (escaped backslash then space) is treated the same, which keeps
 # every parseable resource re-serializable.
 _UNESCAPED_SPACE_RE = re.compile(r"(?<!\\) ")
-
-# Header row of the records TSV that ``commdir parse`` writes.
-RECORDS_HEADER = ("# host\tident\tauthuser\ttimestamp\tmethod\tresource"
-                  "\tprotocol\tstatus\tbytes")
 
 
 def _tz_from_offset(s: str) -> timezone | None:
@@ -205,7 +200,7 @@ def _build(host: str, ident: str, authuser: str, datestr: str,
 
 def _split_request(request: str) -> list[str]:
     if "\t" in request:
-        return []  # no valid request: a raw tab would split its records-TSV row
+        return []  # a raw tab separates CLF fields, never the parts of a request
     if "\\" in request:
         return _UNESCAPED_SPACE_RE.split(request)
     return request.split(" ")
@@ -288,42 +283,6 @@ def format_record(rec: LogRecord) -> str:
             f" [{format_timestamp(rec.timestamp)}]"
             f' "{rec.method} {rec.resource} {rec.protocol}"'
             f" {rec.status} {'-' if rec.bytes is None else rec.bytes}")
-
-
-def record_tsv_line(rec: LogRecord) -> str:
-    """Serialize to one records-TSV row (columns of RECORDS_HEADER)."""
-    return "\t".join((
-        rec.host,
-        rec.ident or "-",
-        rec.authuser or "-",
-        format_timestamp(rec.timestamp),
-        rec.method,
-        rec.resource,
-        rec.protocol,
-        str(rec.status),
-        "-" if rec.bytes is None else str(rec.bytes),
-    ))
-
-
-def record_from_tsv_line(line: str, lineno: int) -> LogRecord:
-    """Inverse of record_tsv_line, under the field rules of a CLF line.
-
-    Raises ValueError naming the line number and the ParseReason.
-    """
-    cols = line.split("\t")
-    # The request columns must be what a quoted CLF request splits into, so
-    # that format_record writes a line parse_line reads back.
-    tokens = cols[4:7]
-    request = " ".join(tokens)
-    if not (_REQUEST_RE.fullmatch(request) and _split_request(request) == tokens):
-        tokens = []
-    # A name column must be one non-empty CLF field: no blank inside.
-    result = (_build(cols[0], cols[1], cols[2], cols[3], tokens, cols[7], cols[8], line)
-              if len(cols) == 9 and all(c and " " not in c for c in cols[:3])
-              else ParseError(ParseReason.FIELD_COUNT_MISMATCH, line))
-    if type(result) is ParseError:
-        raise ValueError(f"records file line {lineno}: {result.reason.value}")
-    return result
 
 
 def open_log(path) -> IO[str]:

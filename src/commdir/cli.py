@@ -1,21 +1,22 @@
 """Command-line pipeline over access-log files.
 
-Subcommands mirror the mining workflow: ``parse`` turns a raw log into
-canonical records, ``sites`` lists visited sites and directories,
+Subcommands mirror the mining workflow: ``parse`` rewrites a raw log as
+canonical CLF lines, ``sites`` lists visited sites and directories,
 ``cluster`` runs the full community-directory pipeline, and ``taxonomy``
 edits/prints taxonomy files. Outputs are deterministic byte-for-byte for
 equal inputs and flags, and files are written atomically.
 
 Exit codes: 0 success, 1 usage or input error, 2 no records parsed,
 3 clique explosion guard tripped. ``main`` reports every failure as one
-``error:`` line on stderr.
+``error:`` line on stderr; ``cluster`` reports having no records to mine
+the same way.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
+import io
 import os
 import stat
 import sys
@@ -53,7 +54,7 @@ def _about(what: str) -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def atomic_writer(path: str) -> Iterator[IO[str]]:
+def atomic_writer(path: str, encoding: str = "utf-8") -> Iterator[IO[str]]:
     """A text file that replaces ``path`` when the block completes; on failure, nothing does.
 
     File modes are those of ``open(path, "w")``: a new file gets ``0o666``
@@ -65,7 +66,7 @@ def atomic_writer(path: str) -> Iterator[IO[str]]:
         # os.open, not mkstemp (always 0600), so the umask applies as with open().
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+        with os.fdopen(fd, "w", encoding=encoding, newline="\n") as f:
             yield f
         with contextlib.suppress(FileNotFoundError):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
@@ -82,29 +83,12 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def read_records(path: str) -> tuple[list[LogRecord], Counter]:
-    """Read either a raw CLF log or a ``parse``-produced records TSV.
-
-    A leading tab-containing ``#`` header marks the TSV form; after it only
-    blank lines and repeated headers (concatenated parse outputs) are skipped,
-    so a row whose host starts with ``#`` is read.
-    Returns the records plus a Counter of parse-error reasons (empty for TSV
-    input).
-    """
+    """Parse a CLF log, plain or gzip: its records, and a Counter of the
+    reasons its other lines were rejected."""
+    records = []
     errors: Counter = Counter()
     with clf.open_log(path) as f:
-        lines = clf.numbered_lines(f)
-        first = next(lines, (0, ""))[1]
-        if first.startswith("#") and "\t" in first:
-            records = []
-            for lineno, raw in lines:
-                line = raw.rstrip("\r\n")
-                if not line or line == clf.RECORDS_HEADER:
-                    continue
-                records.append(clf.record_from_tsv_line(line, lineno))
-            return records, errors
-        records = []
-        # parse_stream numbers the lines itself, so it reads on from f.
-        for outcome in clf.parse_stream(itertools.chain([first], f)):
+        for outcome in clf.parse_stream(f):
             if outcome.ok:
                 records.append(outcome.result)
             else:
@@ -133,6 +117,23 @@ def _read_input(args) -> tuple[FilterPolicy, list[LogRecord], Counter, int]:
     return policy, kept, errors, len(records) - len(kept)
 
 
+@contextlib.contextmanager
+def _latin1_stdout() -> Iterator[IO[str]]:
+    """``sys.stdout``'s byte stream, written as latin-1 text in the block."""
+    sys.stdout.flush()
+    out = io.TextIOWrapper(sys.stdout.buffer, encoding="latin-1", newline="\n")
+    try:
+        yield out
+    finally:
+        out.detach()  # flushes, and leaves sys.stdout.buffer open
+
+
+def _by_reason(errors: Counter, what: str) -> str:
+    """``"N <what>"``, then the count of each reason when N > 0."""
+    detail = ", ".join(f"{reason}: {n}" for reason, n in sorted(errors.items()))
+    return f"{sum(errors.values())} {what}" + (f" ({detail})" if detail else "")
+
+
 def cmd_parse(args) -> int:
     with _about(f"cannot read {args.log}"):
         stream = clf.open_log(args.log)
@@ -140,23 +141,19 @@ def cmd_parse(args) -> int:
     records = 0
     errors: Counter = Counter()
     try:
-        with stream, (atomic_writer(args.out) if args.out
-                      else contextlib.nullcontext(sys.stdout)) as out:
-            out.write(clf.RECORDS_HEADER + "\n")
+        # open_log decodes latin-1, so each line goes out in the bytes it came in.
+        with stream, (atomic_writer(args.out, encoding="latin-1") if args.out
+                      else _latin1_stdout()) as out:
             for outcome in clf.parse_stream(stream):
                 lines += 1
                 if outcome.ok:
                     records += 1
-                    out.write(clf.record_tsv_line(outcome.result) + "\n")
+                    out.write(clf.format_record(outcome.result) + "\n")
                 else:
                     errors[outcome.result.reason.value] += 1
     except clf.LogStreamError as exc:
         raise OSError(f"cannot read {args.log}: {exc}") from exc
-    total_errors = sum(errors.values())
-    summary = f"{lines} lines, {records} records, {total_errors} errors"
-    if total_errors:
-        detail = ", ".join(f"{reason}: {n}" for reason, n in sorted(errors.items()))
-        summary += f" ({detail})"
+    summary = f"{lines} lines, {records} records, {_by_reason(errors, 'errors')}"
     print(summary, file=sys.stderr if not args.out else sys.stdout)
     return EXIT_OK if records else EXIT_EMPTY
 
@@ -190,7 +187,8 @@ def cmd_sites(args) -> int:
 def cmd_cluster(args) -> int:
     policy, kept, parse_errors, filtered_out = _read_input(args)
     if not kept:
-        print("no records to mine after filtering", file=sys.stderr)
+        print(f"error: no records to mine: {_by_reason(parse_errors, 'lines rejected')}, "
+              f"{filtered_out} filtered out", file=sys.stderr)
         return EXIT_EMPTY
 
     parameters = {
@@ -301,11 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse a CLF log into canonical records")
     p.add_argument("log", help="access log file (plain or gzip)")
-    p.add_argument("--out", help="write records TSV here instead of stdout")
+    p.add_argument("--out", help="write the records as CLF lines here instead of stdout")
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("sites", help="list visited sites (and directories)")
-    p.add_argument("input", help="CLF log or records TSV from 'parse'")
+    p.add_argument("input", help="CLF log (plain or gzip), such as the output of 'parse'")
     p.add_argument("--dirs", action="store_true",
                    help="also list (site, directory) pairs")
     _add_policy_flags(p)
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster",
                        help="discover communities and emit their directories")
-    p.add_argument("input", help="CLF log or records TSV from 'parse'")
+    p.add_argument("input", help="CLF log (plain or gzip), such as the output of 'parse'")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--taxonomy", help="taxonomy file to classify against")
     group.add_argument("--artificial", action="store_true",

@@ -12,7 +12,8 @@ import time
 
 
 from commdir.classify import UNSPECIFIED, build_usage_vectors
-from commdir.clf import LogRecord, open_log, parse_line, parse_stream, format_record
+from commdir.clf import (LogRecord, format_record, format_timestamp, open_log, parse_line,
+                         parse_stream)
 from commdir.cli import main as cli_main
 from commdir.community import (
     SimilarityGraph,
@@ -41,15 +42,19 @@ def test_golden_parse_of_sample_log(sample_log_path, data_dir):
     assert len(outcomes) == 13
     assert all(o.ok for o in outcomes)
 
+    # Expected fields, one tab-separated row per record; "-" is an absent field.
     golden_rows = [
         line.split("\t")
         for line in (data_dir / "sample_access_golden.tsv").read_text().splitlines()
         if not line.startswith("#")
     ]
     assert len(golden_rows) == 13
-    from commdir.clf import record_tsv_line
     for outcome, row in zip(outcomes, golden_rows):
-        assert record_tsv_line(outcome.result).split("\t") == row
+        rec = outcome.result
+        fields = [rec.host, rec.ident or "-", rec.authuser or "-",
+                  format_timestamp(rec.timestamp), rec.method, rec.resource, rec.protocol,
+                  str(rec.status), "-" if rec.bytes is None else str(rec.bytes)]
+        assert fields == row
     assert elapsed < 1.0
     record_pass(f"golden parse: 13/13 records, 0 errors, {elapsed * 1000:.1f} ms")
 
