@@ -35,24 +35,14 @@ def user_key(rec: LogRecord) -> str:
 
 def classify_page(ref: PageRef, tax: Taxonomy) -> str:
     """Category path for a page reference, or UNSPECIFIED on no keyword hit."""
-    tokens = tokenize(ref)
-    if not tokens:
-        return UNSPECIFIED
     index = tax.keyword_index
     overlap: dict[str, int] = {}
-    for token in tokens:  # distinct tokens; multiplicity does not matter here
+    for token in tokenize(ref):  # distinct tokens; multiplicity does not matter here
         for path in index.get(token, ()):
             overlap[path] = overlap.get(path, 0) + 1
     if not overlap:
         return UNSPECIFIED
-    best_path = ""
-    best_key = (-1, -1)
-    for path in sorted(overlap):
-        key = (depth(path), overlap[path])
-        if key > best_key:
-            best_key = key
-            best_path = path
-    return best_path
+    return min(overlap, key=lambda p: (-depth(p), -overlap[p], p))
 
 
 def build_usage_vectors(records: Iterable[LogRecord], tax: Taxonomy) -> list[UsageVector]:

@@ -6,10 +6,10 @@ canonical CLF lines, ``sites`` lists visited sites and directories,
 edits/prints taxonomy files. Outputs are deterministic byte-for-byte for
 equal inputs and flags, and files are written atomically.
 
-Exit codes: 0 success, 1 usage or input error, 2 no records parsed,
-3 clique explosion guard tripped. ``main`` reports every failure as one
-``error:`` line on stderr; ``cluster`` reports having no records to mine
-the same way.
+Exit codes: 0 success, 1 usage or input error, 2 no records parsed (for
+``sites`` and ``cluster``: none left to mine), 3 clique explosion guard
+tripped. ``main`` reports every failure, ``sites`` and ``cluster`` having
+no records to mine included, as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EMPTY = 2
 EXIT_EXPLOSION = 3
+
+
+class NoRecordsError(Exception):
+    """Nothing is left to mine once the input is parsed and policy-filtered."""
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; 2 means "no records" here.
@@ -109,12 +114,17 @@ def _policy_from_args(args) -> FilterPolicy:
 
 def _read_input(args) -> tuple[FilterPolicy, list[LogRecord], Counter, int]:
     """Read ``args.input`` and apply the policy flags: (policy, records it
-    keeps, parse-error Counter, number of records it removed)."""
+    keeps, parse-error Counter, number of records it removed). Raises
+    NoRecordsError, saying what was read, when it keeps none."""
     policy = _policy_from_args(args)
     with _about(f"cannot read {args.input}"):
         records, errors = read_records(args.input)
     kept = list(clf.filter_records(records, policy))
-    return policy, kept, errors, len(records) - len(kept)
+    filtered_out = len(records) - len(kept)
+    if not kept:
+        raise NoRecordsError(f"no records to mine: {_by_reason(errors, 'lines rejected')}, "
+                             f"{filtered_out} filtered out")
+    return policy, kept, errors, filtered_out
 
 
 @contextlib.contextmanager
@@ -137,7 +147,6 @@ def _by_reason(errors: Counter, what: str) -> str:
 def cmd_parse(args) -> int:
     with _about(f"cannot read {args.log}"):
         stream = clf.open_log(args.log)
-    lines = 0
     records = 0
     errors: Counter = Counter()
     try:
@@ -145,7 +154,6 @@ def cmd_parse(args) -> int:
         with stream, (atomic_writer(args.out, encoding="latin-1") if args.out
                       else _latin1_stdout()) as out:
             for outcome in clf.parse_stream(stream):
-                lines += 1
                 if outcome.ok:
                     records += 1
                     out.write(clf.format_record(outcome.result) + "\n")
@@ -153,6 +161,7 @@ def cmd_parse(args) -> int:
                     errors[outcome.result.reason.value] += 1
     except clf.LogStreamError as exc:
         raise OSError(f"cannot read {args.log}: {exc}") from exc
+    lines = records + sum(errors.values())
     summary = f"{lines} lines, {records} records, {_by_reason(errors, 'errors')}"
     print(summary, file=sys.stderr if not args.out else sys.stdout)
     return EXIT_OK if records else EXIT_EMPTY
@@ -160,9 +169,6 @@ def cmd_parse(args) -> int:
 
 def cmd_sites(args) -> int:
     refs = [extract_page_ref(r.resource) for r in _read_input(args)[1]]
-    if not refs:
-        print("0 sites, 0 local")
-        return EXIT_EMPTY
     site_hits: Counter = Counter()
     local = 0
     dir_hits: Counter = Counter()
@@ -186,10 +192,6 @@ def cmd_sites(args) -> int:
 
 def cmd_cluster(args) -> int:
     policy, kept, parse_errors, filtered_out = _read_input(args)
-    if not kept:
-        print(f"error: no records to mine: {_by_reason(parse_errors, 'lines rejected')}, "
-              f"{filtered_out} filtered out", file=sys.stderr)
-        return EXIT_EMPTY
 
     parameters = {
         "tau": args.tau,
@@ -354,6 +356,8 @@ def main(argv: list[str] | None = None) -> int:
     # The one place where an exception becomes an exit code and one line.
     try:
         return args.func(args)
+    except NoRecordsError as exc:
+        code, message = EXIT_EMPTY, str(exc)
     except community.ExplosionGuardError as exc:
         code, message = EXIT_EXPLOSION, str(exc)
     except (OSError, ValueError) as exc:

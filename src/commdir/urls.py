@@ -31,15 +31,7 @@ _HOST_LABEL = re.compile(r"[a-z0-9-]+\Z")
 
 def strip_query(resource: str) -> str:
     """Drop everything from the first ``?`` or ``#`` on; percent-escapes stay."""
-    q = resource.find("?")
-    h = resource.find("#")
-    if q < 0:
-        cut = h
-    elif h < 0:
-        cut = q
-    else:
-        cut = min(q, h)
-    return resource if cut < 0 else resource[:cut]
+    return resource.partition("?")[0].partition("#")[0]
 
 
 def _is_hostname(segment: str) -> bool:
@@ -62,8 +54,6 @@ def extract_page_ref(resource: str) -> PageRef:
     """
     raw = resource
     path = strip_query(resource).lower().lstrip("/")
-    if not path:
-        return PageRef(None, (), "", raw)
     segments = path.split("/")
     if _is_hostname(segments[0]):
         site, rest = segments[0], segments[1:]

@@ -11,7 +11,7 @@ from commdir.classify import (
     user_key,
 )
 from commdir.clf import LogRecord, parse_line
-from commdir.taxonomy import depth, load_taxonomy
+from commdir.taxonomy import depth, load_taxonomy, make_taxonomy
 from commdir.urls import PageRef, extract_page_ref, tokenize
 
 
@@ -67,6 +67,49 @@ def test_classify_matches_brute_force_oracle(fixture_taxonomy):
         ref = PageRef(None, tuple(segs), page, "")
         assert classify_page(ref, fixture_taxonomy) == \
             brute_force_classify(ref, fixture_taxonomy)
+
+
+def old_sorted_scan(ref, tax):
+    """classify_page as it was: scan the overlapped paths in sorted order and
+    keep the first with the strictly greatest (depth, overlap)."""
+    tokens = tokenize(ref)
+    if not tokens:
+        return UNSPECIFIED
+    overlap = {}
+    for token in tokens:
+        for path in tax.keyword_index.get(token, ()):
+            overlap[path] = overlap.get(path, 0) + 1
+    if not overlap:
+        return UNSPECIFIED
+    best_path, best_key = "", (-1, -1)
+    for path in sorted(overlap):
+        key = (depth(path), overlap[path])
+        if key > best_key:
+            best_key, best_path = key, path
+    return best_path
+
+
+def test_classify_equals_old_sorted_scan():
+    # A small vocabulary over few short names makes ties on depth and on
+    # overlap common.
+    rng = random.Random(14)
+    vocab = ["a", "b", "c", "d", "e", "f"]
+    ties = 0
+    for _ in range(200):
+        entries = {}
+        for _ in range(rng.randint(1, 8)):
+            path = "Top/" + "/".join(rng.choice("xyz") for _ in range(rng.randint(1, 3)))
+            entries[path] = (rng.sample(vocab, rng.randint(1, 3)), None)
+        tax = make_taxonomy(entries)
+        for _ in range(50):
+            ref = PageRef(None, tuple(rng.sample(vocab, rng.randint(0, 4))), "", "")
+            got = classify_page(ref, tax)
+            assert got == old_sorted_scan(ref, tax), (entries, ref)
+            tokens = set(tokenize(ref))
+            keys = [(depth(p), len(c.keywords & tokens)) for p, c in tax.categories.items()
+                    if c.keywords & tokens]
+            ties += bool(keys) and keys.count(max(keys)) > 1
+    assert ties > 500
 
 
 def test_user_key_prefers_authuser():

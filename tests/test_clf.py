@@ -156,14 +156,13 @@ def fast_path_then_regex(line, took_fast_path):
             took_fast_path.append(line)
             return clf._build(parts[0], parts[1], parts[2],
                               parts[3][1:] + " " + parts[4][:-1],
-                              [parts[5][1:], parts[6], parts[7][:-1]],
+                              parts[5][1:] + " " + parts[6] + " " + parts[7][:-1],
                               parts[8], parts[9], line)
     m = _OLD_LINE_RE.match(line)
     if m is None:
         return clf._diagnose(line)
     host, ident, authuser, datestr, request, status_s, bytes_s = m.groups()
-    return clf._build(host, ident, authuser, datestr,
-                      clf._split_request(request), status_s, bytes_s, line)
+    return clf._build(host, ident, authuser, datestr, request, status_s, bytes_s, line)
 
 
 def test_one_matcher_equals_fast_path_then_regex():

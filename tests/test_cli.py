@@ -111,6 +111,20 @@ def test_sites_all_local(tmp_path, capsys):
     assert "0 sites, 3 local" in stdout
 
 
+def test_sites_without_records_names_what_it_read(tmp_path, capsys, data_dir):
+    # The same line as cluster's: an old records TSV, then a log the policy empties.
+    old_tsv = data_dir / "sample_access_golden.tsv"
+    filtered = tmp_path / "filtered.log"
+    filtered.write_text(
+        '1.1.1.1 - - [10/Oct/2000:13:55:36 -0700] "GET /www.a.com/x HTTP/1.0" 404 -\n'
+        '1.1.1.1 - - [10/Oct/2000:13:55:36 -0700] "POST /www.b.com/y HTTP/1.0" 200 -\n')
+    for log, counts in ((old_tsv, "14 lines rejected (FieldCountMismatch: 14), 0 filtered out"),
+                        (filtered, "0 lines rejected, 2 filtered out")):
+        code, stdout, stderr = run(capsys, "sites", str(log), "--dirs")
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: no records to mine: {counts}\n"
+
+
 def test_sites_policy_flags(tmp_path, capsys):
     log = tmp_path / "mixed.log"
     log.write_text(

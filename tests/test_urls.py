@@ -1,5 +1,6 @@
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -21,6 +22,26 @@ from commdir.urls import (
 ])
 def test_strip_query(resource, expected):
     assert strip_query(resource) == expected
+
+
+def old_strip_query(resource):
+    """strip_query as it was: cut at the smaller of the two find() positions."""
+    q = resource.find("?")
+    h = resource.find("#")
+    if q < 0:
+        cut = h
+    elif h < 0:
+        cut = q
+    else:
+        cut = min(q, h)
+    return resource if cut < 0 else resource[:cut]
+
+
+def test_strip_query_equals_find_min_reference():
+    rng = random.Random(14)
+    for _ in range(20_000):
+        resource = "".join(rng.choice("a?#/") for _ in range(rng.randint(0, 8)))
+        assert strip_query(resource) == old_strip_query(resource), repr(resource)
 
 
 def test_extract_site_dir_page():
@@ -51,6 +72,11 @@ def test_trailing_slash_means_empty_page():
 def test_bare_slash_is_empty_local_ref():
     ref = extract_page_ref("/")
     assert (ref.site, ref.directories, ref.page) == (None, (), "")
+
+
+@pytest.mark.parametrize("resource", ["", "/", "?q", "#f"])
+def test_empty_path_is_empty_local_ref(resource):
+    assert extract_page_ref(resource) == PageRef(None, (), "", resource)
 
 
 def test_query_stripped_and_lowercased():
