@@ -22,9 +22,10 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import IO, Iterable, Iterator
 
-# Longer lines are rejected as FieldCountMismatch before matching: this bounds
-# the parse work per line, not memory (the whole line is read first). open_log
-# decodes latin-1, so the limit counts bytes of the file.
+# Longer lines are rejected as FieldCountMismatch before matching. This bounds
+# the parse work per line and, since open_log yields at most MAX_LINE_BYTES + 1
+# characters of a line, the memory a line takes too. open_log decodes latin-1,
+# so the limit counts bytes of the file.
 MAX_LINE_BYTES = 64 * 1024
 
 
@@ -272,11 +273,40 @@ def format_record(rec: LogRecord) -> str:
             f" {rec.status} {'-' if rec.bytes is None else rec.bytes}")
 
 
+class _Log(io.TextIOWrapper):
+    """A log opened as text, with CRLF and a lone CR read as LF.
+
+    Iteration yields each line without its line end, and at most
+    MAX_LINE_BYTES + 1 characters of it: the rest of a longer line is read
+    and dropped, so memory does not grow with line length. It reads the file
+    itself, so iterate or ``read``, not both.
+    """
+
+    def __iter__(self) -> Iterator[str]:
+        cap = MAX_LINE_BYTES + 1
+        # The chunks the wrapper's own readline reads, so a failing source
+        # fails after the same line. A line inside one chunk is no longer
+        # than the chunk.
+        read1, size = self.buffer.read1, self._CHUNK_SIZE
+        decode = io.IncrementalNewlineDecoder(None, translate=True).decode
+        tail = ""  # the unfinished line at the end of the text read so far
+        while True:
+            data = read1(size)
+            lines = decode(data.decode("latin-1"), not data).split("\n")
+            lines[0] = (tail + lines[0])[:cap]
+            tail = lines.pop()
+            yield from lines
+            if not data:
+                break
+        if tail:
+            yield tail
+
+
 def open_log(path) -> IO[str]:
     """Open a log file for text reading, transparently decompressing gzip.
 
     Detection is by magic bytes, not filename. latin-1 decoding keeps every
-    byte addressable and never fails.
+    byte addressable and never fails. LF, CRLF and a lone CR each end a line.
     """
     f = open(path, "rb")
     try:
@@ -289,4 +319,4 @@ def open_log(path) -> IO[str]:
         # A GzipFile never closes a fileobj it is given, so it opens the path itself.
         f.close()
         f = gzip.open(path)
-    return io.TextIOWrapper(f, encoding="latin-1", newline="")
+    return _Log(f, encoding="latin-1")

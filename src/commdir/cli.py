@@ -87,18 +87,23 @@ def atomic_write(path: str, text: str) -> None:
         f.write(text)
 
 
+def _read_log(path: str, errors: Counter) -> Iterator[LogRecord]:
+    """The records of a CLF log, plain or gzip; each other line adds the
+    reason it was rejected to ``errors``. Failing to open or read the log
+    raises ``cannot read <path>: ...``."""
+    with _about(f"cannot read {path}"), clf.open_log(path) as f:
+        for outcome in clf.parse_stream(f):
+            if outcome.ok:
+                yield outcome.result
+            else:
+                errors[outcome.result.reason.value] += 1
+
+
 def read_records(path: str) -> tuple[list[LogRecord], Counter]:
     """Parse a CLF log, plain or gzip: its records, and a Counter of the
     reasons its other lines were rejected."""
-    records = []
     errors: Counter = Counter()
-    with clf.open_log(path) as f:
-        for outcome in clf.parse_stream(f):
-            if outcome.ok:
-                records.append(outcome.result)
-            else:
-                errors[outcome.result.reason.value] += 1
-    return records, errors
+    return list(_read_log(path, errors)), errors
 
 
 def _policy_from_args(args) -> FilterPolicy:
@@ -117,8 +122,7 @@ def _read_input(args) -> tuple[FilterPolicy, list[LogRecord], Counter, int]:
     keeps, parse-error Counter, number of records it removed). Raises
     NoRecordsError, saying what was read, when it keeps none."""
     policy = _policy_from_args(args)
-    with _about(f"cannot read {args.input}"):
-        records, errors = read_records(args.input)
+    records, errors = read_records(args.input)
     kept = list(clf.filter_records(records, policy))
     filtered_out = len(records) - len(kept)
     if not kept:
@@ -145,22 +149,14 @@ def _by_reason(errors: Counter, what: str) -> str:
 
 
 def cmd_parse(args) -> int:
-    with _about(f"cannot read {args.log}"):
-        stream = clf.open_log(args.log)
     records = 0
     errors: Counter = Counter()
-    try:
-        # open_log decodes latin-1, so each line goes out in the bytes it came in.
-        with stream, (atomic_writer(args.out, encoding="latin-1") if args.out
-                      else _latin1_stdout()) as out:
-            for outcome in clf.parse_stream(stream):
-                if outcome.ok:
-                    records += 1
-                    out.write(clf.format_record(outcome.result) + "\n")
-                else:
-                    errors[outcome.result.reason.value] += 1
-    except clf.LogStreamError as exc:
-        raise OSError(f"cannot read {args.log}: {exc}") from exc
+    # open_log decodes latin-1, so each line goes out in the bytes it came in.
+    with (atomic_writer(args.out, encoding="latin-1") if args.out
+          else _latin1_stdout()) as out:
+        for record in _read_log(args.log, errors):
+            records += 1
+            out.write(clf.format_record(record) + "\n")
     lines = records + sum(errors.values())
     summary = f"{lines} lines, {records} records, {_by_reason(errors, 'errors')}"
     print(summary, file=sys.stderr if not args.out else sys.stdout)

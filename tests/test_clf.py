@@ -4,6 +4,7 @@ import io
 import random
 import re
 import sys
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
 
@@ -17,6 +18,7 @@ from commdir.clf import (
     LogRecord,
     LogStreamError,
     ParseError,
+    ParseOutcome,
     ParseReason,
     filter_records,
     format_record,
@@ -302,6 +304,116 @@ def test_open_log_gzip_closes_the_raw_file(tmp_path, sample_log_path, monkeypatc
         del f
         gc.collect()
     assert unraisable == []
+
+
+def _outcomes(f):
+    """parse_stream's outcomes over ``f``, and the last good line if the stream failed."""
+    outcomes = []
+    try:
+        outcomes.extend(parse_stream(f))
+    except LogStreamError as exc:
+        return outcomes, exc.last_good_line
+    return outcomes, None
+
+
+def _textiowrapper_outcomes(path):
+    """The oracle: a TextIOWrapper's own line iteration, which holds each line whole."""
+    raw = gzip.open(path) if path.suffix == ".gz" else open(path, "rb")
+    with io.TextIOWrapper(raw, encoding="latin-1", newline="") as f:
+        outcomes, failed_after = _outcomes(f)
+    # open_log keeps only a prefix of an over-long line.
+    return [ParseOutcome(o.line_number, ParseError(o.result.reason,
+                                                   o.result.raw_line[:MAX_LINE_BYTES + 1]))
+            if not o.ok and len(o.result.raw_line) > MAX_LINE_BYTES else o
+            for o in outcomes], failed_after
+
+
+def _open_log_outcomes(path):
+    with open_log(path) as f:
+        return _outcomes(f)
+
+
+def _random_log(rng, size):
+    """Lines of every kind, each ended by LF, CR or CRLF at random, to at
+    least ``size`` bytes, counting at most 100 of any line."""
+    lines, n = [], 0
+    while n < size:
+        r = rng.random()
+        if r < 0.6:
+            line = random_clf_line(rng)
+        elif r < 0.7:
+            line = ""
+        elif r < 0.75:
+            line = rng.choice([" ", "\t", " \t "])
+        elif r < 0.99:
+            # \x0b, \x0c, \x1c and \x85 end a line for str.splitlines, never here.
+            line = "".join(rng.choices('ab "[]/-\t\x0b\x0c\x1c\x85\xe9', k=rng.randint(1, 60)))
+        else:
+            line = EXAMPLE[:-1] + "x" * rng.randint(MAX_LINE_BYTES - 100, MAX_LINE_BYTES + 100)
+        lines.append(line + rng.choice(["\n", "\r", "\r\n"]))
+        n += min(len(lines[-1]), 100)
+    if rng.random() < 0.5:
+        lines[-1] = lines[-1].rstrip("\r\n") or "last"  # a last line with no line end
+    return "".join(lines).encode("latin-1")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_open_log_lines_equal_textiowrapper_lines(tmp_path, seed):
+    rng = random.Random(seed)
+    data = _random_log(rng, 64 * 1024)  # several of the chunks open_log reads
+    packed = gzip.compress(data)
+    plain, gz = tmp_path / "access.log", tmp_path / "access.log.gz"
+    plain.write_bytes(data)
+    gz.write_bytes(packed)
+    expected, failed_after = _textiowrapper_outcomes(plain)
+    assert failed_after is None and len(expected) > 100
+    assert _open_log_outcomes(plain) == (expected, None)
+    assert _open_log_outcomes(gz) == (expected, None)
+    # A truncated gzip fails after the same line as the oracle.
+    gz.write_bytes(packed[:rng.randrange(100, len(packed))])
+    truncated = _textiowrapper_outcomes(gz)
+    assert truncated[1] is not None
+    assert _open_log_outcomes(gz) == truncated
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\n"])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_open_log_line_end_at_a_chunk_boundary(tmp_path, end, shift):
+    path = tmp_path / "access.log"
+    path.write_bytes(b"x" * 3 * 8192)
+    with open_log(path) as f:  # the first chunk's size depends on the file system
+        boundary = len(f.buffer.read1(f._CHUNK_SIZE))
+    # The first line's end starts at byte boundary - 1 + shift, so at shift 0
+    # a CRLF is split across the first two chunks.
+    head = '127.0.0.1 - frank [10/Oct/2000:13:55:36 -0700] "GET /'
+    tail = ' HTTP/1.0" 200 2326'
+    first = head + "a" * (boundary - 1 + shift - len(head) - len(tail)) + tail
+    path.write_bytes((first + end + end + EXAMPLE + end + EXAMPLE).encode("latin-1"))
+    outcomes, failed_after = _open_log_outcomes(path)
+    assert (outcomes, failed_after) == _textiowrapper_outcomes(path)
+    assert [(o.line_number, o.ok) for o in outcomes] == [(1, True), (3, True), (4, True)]
+    assert outcomes[0].result.resource.endswith("a" * 10)
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_open_log_memory_does_not_grow_with_line_length(tmp_path, compress):
+    long_line = EXAMPLE[:-1] + "x" * (8 * 2 ** 20)
+    data = f"{EXAMPLE}\n{long_line}\r\n{EXAMPLE}".encode("latin-1")
+    path = tmp_path / "long.log"
+    path.write_bytes(gzip.compress(data) if compress else data)
+    del data
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        with open_log(path) as f:
+            outcomes = list(parse_stream(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"peak {peak:,} bytes for an 8 MiB line"
+    assert [(o.line_number, o.ok) for o in outcomes] == [(1, True), (2, False), (3, True)]
+    assert outcomes[1].result == ParseError(ParseReason.FIELD_COUNT_MISMATCH,
+                                            long_line[:MAX_LINE_BYTES + 1])
 
 
 def test_filter_default_policy_keeps_sample(sample_records):

@@ -498,6 +498,9 @@ def _failing_run(case, tmp_path, log, tax):
         # Out-of-range classes and non-ASCII digits are no status class.
         return cluster + ["--policy-status", case.partition(":")[2] or "x"], out
     gz = tmp_path / "log.gz"
+    if case == "missing-log":
+        # parse opens its --out file before it reads the log.
+        return ["parse", str(gz), "--out", str(tmp_path / "r.log")], tmp_path / "r.log"
     with open(log, "rb") as f:
         data = gzip.compress(f.read())
     if case.startswith("corrupt-gzip"):
@@ -525,14 +528,14 @@ def _failing_run(case, tmp_path, log, tax):
     "taxonomy-not-utf8", "taxonomy-too-deep", "bad-policy-status",
     "bad-policy-status:7", "bad-policy-status:0", "bad-policy-status:-2",
     "bad-policy-status:1_0", "bad-policy-status:2,\u0663", "truncated-gzip",
-    "corrupt-gzip-parse", "corrupt-gzip-cluster", "truncated-gzip-records"])
+    "corrupt-gzip-parse", "corrupt-gzip-cluster", "truncated-gzip-records", "missing-log"])
 def test_failure_prints_one_error_line(case, tmp_path, capsys, sample_log_path, data_dir):
     argv, target = _failing_run(case, tmp_path, str(sample_log_path),
                                 str(data_dir / "taxonomy.tsv"))
     code, _, stderr = run(capsys, *argv)
     assert code == 1
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error:")
-    if "gzip" in case:
+    if "gzip" in case or case == "missing-log":
         assert f"cannot read {tmp_path / 'log.gz'}: " in stderr
     if case.startswith("bad-policy-status"):
         assert stderr.startswith("error: bad --policy-status: ")
