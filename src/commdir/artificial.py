@@ -58,11 +58,6 @@ def _jaccard(inter: int, na: int, nb: int) -> float:
     return inter / union if union else 1.0
 
 
-def jaccard(a: set, b: set) -> float:
-    """Jaccard similarity of two sets; two empty sets count as identical."""
-    return _jaccard(len(a & b), len(a), len(b))
-
-
 def cluster_sites(profiles: Sequence[SiteProfile], sigma: float = DEFAULT_SIGMA) -> list[tuple[str, ...]]:
     """Single-linkage clusters over Jaccard similarity of site token sets.
 

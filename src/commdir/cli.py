@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import stat
 import sys
 from collections import Counter
@@ -33,6 +34,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EMPTY = 2
 EXIT_EXPLOSION = 3
+
+# The files of ``--out`` that a ``cluster`` run writes only for some inputs or flags.
+_STALE_OUTPUT = re.compile(r"community-\d{3,}\.(?:txt|json)\Z|artificial-taxonomy\.tsv\Z")
 
 
 class NoRecordsError(Exception):
@@ -73,9 +77,10 @@ def atomic_writer(path: str, encoding: str = "utf-8") -> Iterator[IO[str]]:
     try:
         with os.fdopen(fd, "w", encoding=encoding, newline="\n") as f:
             yield f
-        with contextlib.suppress(FileNotFoundError):
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        os.replace(tmp, path)
+        with _about(f"cannot write {path}"):
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -221,19 +226,27 @@ def cmd_cluster(args) -> int:
 
     with _about(f"cannot create directory {args.out}"):
         os.makedirs(args.out, exist_ok=True)
+    written: set[str] = set()
+
+    def write(name: str, text: str) -> None:
+        atomic_write(os.path.join(args.out, name), text)
+        written.add(name)
+
     for i, cdir in enumerate(directories, 1):
-        stem = os.path.join(args.out, f"community-{i:03d}")
-        atomic_write(stem + ".txt", community.directory_text(cdir, tax))
-        atomic_write(stem + ".json",
-                     metrics.report_json(community.directory_doc(cdir, tax)))
-    atomic_write(os.path.join(args.out, "usage-vectors.tsv"),
-                 classify_mod.usage_vectors_tsv(vectors))
+        write(f"community-{i:03d}.txt", community.directory_text(cdir, tax))
+        write(f"community-{i:03d}.json",
+              metrics.report_json(community.directory_doc(cdir, tax)))
+    write("usage-vectors.tsv", classify_mod.usage_vectors_tsv(vectors))
     if args.artificial:
-        atomic_write(os.path.join(args.out, "artificial-taxonomy.tsv"),
-                     taxonomy_mod.serialize_taxonomy(tax))
+        write("artificial-taxonomy.tsv", taxonomy_mod.serialize_taxonomy(tax))
     text = metrics.report_text(report)
-    atomic_write(os.path.join(args.out, "report.txt"), text)
-    atomic_write(os.path.join(args.out, "report.json"), metrics.report_json(report))
+    write("report.txt", text)
+    write("report.json", metrics.report_json(report))
+    # An earlier run into the same directory may have left outputs this one has not.
+    for stale in [os.path.join(args.out, name) for name in os.listdir(args.out)
+                  if name not in written and _STALE_OUTPUT.match(name)]:
+        with _about(f"cannot remove {stale}"):
+            os.unlink(stale)
     sys.stdout.write(text)
     return EXIT_OK
 

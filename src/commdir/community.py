@@ -39,9 +39,13 @@ class ExplosionGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimilarityGraph:
-    vertices: tuple[str, ...]
+    """Each user's neighbours, users in sorted order."""
+
     adjacency: dict[str, frozenset[str]]
-    tau: float
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return tuple(self.adjacency)
 
 
 @dataclass(frozen=True)
@@ -68,13 +72,6 @@ def _cosine(dot: int, na: int, nb: int) -> float:
         return 0.0
     # na*nb is an exact integer, so parallel vectors hit exactly 1.0.
     return min(1.0, dot / math.sqrt(na * nb))
-
-
-def similarity(u: UsageVector, v: UsageVector) -> float:
-    """Cosine similarity of two usage vectors (unspecified coordinate included)."""
-    a, b = u.counts, v.counts
-    return _cosine(sum(n * b.get(k, 0) for k, n in a.items()),
-                   sum(n * n for n in a.values()), sum(n * n for n in b.values()))
 
 
 def threshold_join(weights: Mapping[str, Mapping[object, int]],
@@ -130,8 +127,7 @@ def build_graph(vectors: Iterable[UsageVector], tau: float = DEFAULT_TAU) -> Sim
         raise ValueError("duplicate user ids in vectors")
     if any(n < 0 for c in counts.values() for n in c.values()):
         raise ValueError("negative count in vectors")
-    adj = threshold_join(counts, _cosine, tau)
-    return SimilarityGraph(tuple(adj), adj, tau)
+    return SimilarityGraph(threshold_join(counts, _cosine, tau))
 
 
 def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,
@@ -162,7 +158,7 @@ def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,
         return r, p, x, iter(sorted(p - adj[pivot]))
 
     # Bron-Kerbosch on an explicit stack, free of the recursion limit.
-    stack = [frame((), set(graph.vertices), set())] if graph.vertices else []
+    stack = [frame((), set(adj), set())] if adj else []
     while stack:
         r, p, x, todo = stack[-1]
         for v in todo:

@@ -3,7 +3,7 @@
 A taxonomy is a rooted tree of categories identified by slash-separated
 paths under ``Top``. Each category carries a keyword set used for page
 classification and an informativeness weight in [0, 1]. Weights omitted in
-the file default to depth/max_depth (the root gets 0), so deeper, more
+the file default to depth / greatest depth (the root gets 0), so deeper, more
 specific categories count as more informative unless overridden.
 
 File format: UTF-8 text, one category per line, up to three tab-separated
@@ -29,23 +29,7 @@ MAX_DEPTH = 256
 
 
 class TaxonomyError(ValueError):
-    pass
-
-
-class DuplicatePathError(TaxonomyError):
-    pass
-
-
-class BadWeightError(TaxonomyError):
-    pass
-
-
-class EmptyFileError(TaxonomyError):
-    pass
-
-
-class InvalidPathError(TaxonomyError):
-    pass
+    """A taxonomy file or entry that cannot form a valid taxonomy."""
 
 
 def depth(path: str) -> int:
@@ -66,7 +50,8 @@ def ancestors(path: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Category:
-    path: str
+    """A category's keywords and weight; its path is its key in the taxonomy."""
+
     keywords: frozenset[str]
     weight: float
     # True when the weight came from the file/caller rather than the
@@ -80,20 +65,15 @@ class Taxonomy:
     def __init__(self, categories: Mapping[str, Category]):
         self._categories = dict(sorted(categories.items()))
         if ROOT not in self._categories:
-            raise InvalidPathError(f"taxonomy has no root category {ROOT!r}")
+            raise TaxonomyError(f"taxonomy has no root category {ROOT!r}")
         for path in self._categories:
             p = parent(path)
             if p is not None and p not in self._categories:
-                raise InvalidPathError(f"category {path!r} has no parent {p!r}")
-        self.max_depth = max(depth(p) for p in self._categories)
+                raise TaxonomyError(f"category {path!r} has no parent {p!r}")
 
     @property
     def categories(self) -> dict[str, Category]:
         return self._categories
-
-    @property
-    def paths(self) -> tuple[str, ...]:
-        return tuple(self._categories)
 
     def __contains__(self, path: str) -> bool:
         return path in self._categories
@@ -135,11 +115,11 @@ class Taxonomy:
 
 def _validate_path(path: str) -> None:
     if path != ROOT and not path.startswith(ROOT + "/"):
-        raise InvalidPathError(f"category path must be rooted at {ROOT!r}: {path!r}")
+        raise TaxonomyError(f"category path must be rooted at {ROOT!r}: {path!r}")
     if any(not seg for seg in path.split("/")):
-        raise InvalidPathError(f"category path has empty segment: {path!r}")
+        raise TaxonomyError(f"category path has empty segment: {path!r}")
     if depth(path) > MAX_DEPTH:
-        raise InvalidPathError(f"category path is {depth(path)} levels deep, more than {MAX_DEPTH}")
+        raise TaxonomyError(f"category path is {depth(path)} levels deep, more than {MAX_DEPTH}")
 
 
 # Characters that end a field of the taxonomy file (a keyword also ends at a comma).
@@ -159,7 +139,7 @@ def make_taxonomy(entries: Mapping[str, tuple[Iterable[str], float | None]]) -> 
     """Build a taxonomy from {path: (keywords, weight-or-None)}.
 
     Missing ancestors are created with empty keywords; None weights take the
-    depth/max_depth default, recomputed over the completed tree. Paths
+    depth / greatest-depth default, recomputed over the completed tree. Paths
     (ancestors included) and keywords must read back from the file format:
     non-empty, no tab, CR or LF, no surrounding blanks, and no comma in a
     keyword.
@@ -179,12 +159,12 @@ def make_taxonomy(entries: Mapping[str, tuple[Iterable[str], float | None]]) -> 
         _field("category path", path)
         kwset = frozenset(_field("keyword", str(k), _KEYWORD_BREAKS).lower() for k in keywords)
         if weight is None:
-            cats[path] = Category(path, kwset, depth(path) / max_d if max_d else 0.0)
+            cats[path] = Category(kwset, depth(path) / max_d if max_d else 0.0)
         else:
             w = float(weight)
             if not 0.0 <= w <= 1.0:
-                raise BadWeightError(f"weight for {path!r} outside [0, 1]: {weight!r}")
-            cats[path] = Category(path, kwset, w, explicit_weight=True)
+                raise TaxonomyError(f"weight for {path!r} outside [0, 1]: {weight!r}")
+            cats[path] = Category(kwset, w, explicit_weight=True)
     return Taxonomy(cats)
 
 
@@ -203,9 +183,9 @@ def load_taxonomy(source: str | os.PathLike | IO[str]) -> Taxonomy:
             raise TaxonomyError(f"line {lineno}: more than 3 columns")
         path = cols[0].strip()
         if not path:
-            raise InvalidPathError(f"line {lineno}: empty category path")
+            raise TaxonomyError(f"line {lineno}: empty category path")
         if path in entries:
-            raise DuplicatePathError(f"line {lineno}: duplicate path {path!r}")
+            raise TaxonomyError(f"line {lineno}: duplicate path {path!r}")
         keywords: tuple[str, ...] = ()
         if len(cols) > 1 and cols[1].strip():
             keywords = tuple(k.strip().lower() for k in cols[1].split(",") if k.strip())
@@ -214,10 +194,10 @@ def load_taxonomy(source: str | os.PathLike | IO[str]) -> Taxonomy:
             try:
                 weight = float(cols[2])
             except ValueError:
-                raise BadWeightError(f"line {lineno}: bad weight {cols[2]!r}") from None
+                raise TaxonomyError(f"line {lineno}: bad weight {cols[2]!r}") from None
         entries[path] = (keywords, weight)
     if not entries:
-        raise EmptyFileError("taxonomy file has no categories")
+        raise TaxonomyError("taxonomy file has no categories")
     return make_taxonomy(entries)
 
 

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True, slots=True)
 class PageRef:
-    """Normalized page reference; ``site`` is None for local (non-site) paths."""
+    """Normalized page reference, query dropped; ``site`` is None for local (non-site) paths."""
 
     site: str | None
     directories: tuple[str, ...]
     page: str
-    raw: str
 
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
@@ -52,7 +51,6 @@ def extract_page_ref(resource: str) -> PageRef:
     the query stripped first. Leading slashes are dropped, so a bare "/"
     yields the empty local reference and "//a.com" names the site a.com.
     """
-    raw = resource
     path = strip_query(resource).lower().lstrip("/")
     segments = path.split("/")
     if _is_hostname(segments[0]):
@@ -60,17 +58,9 @@ def extract_page_ref(resource: str) -> PageRef:
     else:
         site, rest = None, segments
     if not rest:
-        return PageRef(site, (), "", raw)
+        return PageRef(site, (), "")
     directories = tuple(s for s in rest[:-1] if s)
-    return PageRef(site, directories, rest[-1], raw)
-
-
-def canonical_path(ref: PageRef) -> str:
-    """Rejoin a reference into its canonical query-stripped, lowercased path."""
-    parts = [] if ref.site is None else [ref.site]
-    parts.extend(ref.directories)
-    parts.append(ref.page)
-    return "/" + "/".join(parts)
+    return PageRef(site, directories, rest[-1])
 
 
 def tokenize(ref: PageRef) -> Counter:

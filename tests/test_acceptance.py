@@ -106,7 +106,7 @@ def test_clique_enumeration_matches_brute_force():
             if rng.random() < p:
                 adj[a].add(b)
                 adj[b].add(a)
-        graph = SimilarityGraph(vertices, {v: frozenset(s) for v, s in adj.items()}, 0.0)
+        graph = SimilarityGraph({v: frozenset(s) for v, s in adj.items()})
         assert find_communities(graph, min_size=1) == brute_force(vertices, adj), \
             f"case {case}"
     elapsed = time.perf_counter() - started
@@ -123,7 +123,7 @@ def _random_taxonomy(rng):
 
 
 def _random_community(rng, tax):
-    paths = list(tax.paths)
+    paths = list(tax)
     profile = {p: rng.randint(1, 20)
                for p in rng.sample(paths, rng.randint(1, len(paths)))}
     if rng.random() < 0.5:
@@ -139,7 +139,7 @@ def test_directory_invariants_randomized():
         com = _random_community(rng, tax)
 
         full = build_community_directory(tax, com, 0.0)
-        assert set(full.selected) == set(tax.paths)
+        assert set(full.selected) == set(tax)
 
         t1, t2 = sorted((rng.random(), rng.random()))
         d1 = build_community_directory(tax, com, t1)
@@ -156,7 +156,7 @@ def test_directory_invariants_randomized():
                            k * com.total)
         scores = full.selected
         scaled_scores = build_community_directory(tax, scaled, 0.0).selected
-        for path in tax.paths:
+        for path in tax:
             assert abs(scores[path] - scaled_scores[path]) <= 1e-12
     record_pass("directory invariants: closure, theta monotonicity, theta=0 "
                 "completeness, scale invariance <= 1e-12 (60 random instances)")

@@ -5,13 +5,19 @@ import pytest
 
 from commdir.artificial import (
     SiteProfile,
+    _jaccard,
     build_artificial_directory,
     cluster_sites,
-    jaccard,
     profile_sites,
 )
-from commdir.taxonomy import ancestors
+from commdir.taxonomy import ancestors, depth
 from commdir.urls import extract_page_ref, tokenize
+
+
+def jaccard(a, b):
+    """Jaccard similarity of two sets, two empty sets counting as identical:
+    the pairwise reference of the site-clustering oracles."""
+    return _jaccard(len(a & b), len(a), len(b))
 
 
 def profile(site, tokens, hits=1):
@@ -55,6 +61,12 @@ def test_profile_sites_equal_per_ref_reference():
     for _ in range(50):
         refs = [extract_page_ref(rng.choice(resources)) for _ in range(rng.randrange(0, 200))]
         assert profile_sites(refs) == per_ref_profile_sites(refs)
+
+
+def test_profile_sites_merges_resources_that_differ_in_query():
+    refs = [extract_page_ref("/www.a.com/x.html?1"), extract_page_ref("/www.a.com/x.html?2")]
+    assert profile_sites(refs) == per_ref_profile_sites(refs) == \
+        [SiteProfile("www.a.com", Counter({"a": 2, "x": 2}), 2)]
 
 
 def test_profile_sites_accumulates_hits():
@@ -180,18 +192,18 @@ def test_artificial_directory_structure(sample_records):
 
 def test_empty_partition_gives_root_only():
     tax = build_artificial_directory([], [])
-    assert tax.paths == ("Top",)
+    assert tuple(tax) == ("Top",)
 
 
 def test_artificial_directory_is_valid_taxonomy(sample_records):
     refs = [extract_page_ref(r.resource) for r in sample_records]
     profiles = profile_sites(refs)
     tax = build_artificial_directory(cluster_sites(profiles, 0.2), profiles)
-    for path in tax.paths:
+    for path in tax:
         for anc in ancestors(path):
             assert anc in tax
         assert 0.0 <= tax.categories[path].weight <= 1.0
-    assert tax.max_depth == 2
+    assert max(depth(p) for p in tax) == 2
 
 
 def test_partition_validation():

@@ -19,7 +19,7 @@ def brute_force_classify(ref, tax):
     """Independent oracle: scan every category, no index, explicit ordering."""
     tokens = set(tokenize(ref))
     best = None
-    for path in sorted(tax.paths):
+    for path in sorted(tax):
         overlap = len(tax.categories[path].keywords & tokens)
         if overlap == 0:
             continue
@@ -30,30 +30,30 @@ def brute_force_classify(ref, tax):
 
 
 def test_classify_xml_page(fixture_taxonomy):
-    ref = PageRef("www.w3schools.com", ("xml",), "note.xml", "")
+    ref = PageRef("www.w3schools.com", ("xml",), "note.xml")
     assert classify_page(ref, fixture_taxonomy) == "Top/Computers/XML"
 
 
 def test_classify_no_match_is_unspecified(fixture_taxonomy):
-    ref = PageRef(None, (), "apache_pb.gif", "")
+    ref = PageRef(None, (), "apache_pb.gif")
     assert classify_page(ref, fixture_taxonomy) == UNSPECIFIED
 
 
 def test_deeper_category_wins():
     tax = load_taxonomy(io.StringIO("Top/A\tshared\nTop/A/B\tshared,deep\n"))
-    ref = PageRef(None, ("shared",), "", "")
+    ref = PageRef(None, ("shared",), "")
     assert classify_page(ref, tax) == "Top/A/B"
 
 
 def test_tie_broken_by_overlap_size():
     tax = load_taxonomy(io.StringIO("Top/One\talpha,beta\nTop/Two\talpha,gamma\n"))
-    ref = PageRef(None, ("alpha", "beta"), "", "")
+    ref = PageRef(None, ("alpha", "beta"), "")
     assert classify_page(ref, tax) == "Top/One"
 
 
 def test_tie_broken_lexicographically():
     tax = load_taxonomy(io.StringIO("Top/Bbb\talpha\nTop/Aaa\talpha\n"))
-    ref = PageRef(None, ("alpha",), "", "")
+    ref = PageRef(None, ("alpha",), "")
     assert classify_page(ref, tax) == "Top/Aaa"
 
 
@@ -64,7 +64,7 @@ def test_classify_matches_brute_force_oracle(fixture_taxonomy):
     for _ in range(300):
         segs = rng.sample(vocab, rng.randint(0, 4))
         page = rng.choice(vocab) + rng.choice([".html", ".xml", ""])
-        ref = PageRef(None, tuple(segs), page, "")
+        ref = PageRef(None, tuple(segs), page)
         assert classify_page(ref, fixture_taxonomy) == \
             brute_force_classify(ref, fixture_taxonomy)
 
@@ -102,7 +102,7 @@ def test_classify_equals_old_sorted_scan():
             entries[path] = (rng.sample(vocab, rng.randint(1, 3)), None)
         tax = make_taxonomy(entries)
         for _ in range(50):
-            ref = PageRef(None, tuple(rng.sample(vocab, rng.randint(0, 4))), "", "")
+            ref = PageRef(None, tuple(rng.sample(vocab, rng.randint(0, 4))), "")
             got = classify_page(ref, tax)
             assert got == old_sorted_scan(ref, tax), (entries, ref)
             tokens = set(tokenize(ref))
@@ -249,12 +249,19 @@ def test_usage_vectors_equal_per_record_reference(sample_records, fixture_taxono
 def test_usage_vectors_classify_each_resource_once(sample_records, fixture_taxonomy,
                                                    monkeypatch):
     records = seeded_records(random.Random(9), 500, sample_records)
-    calls = Counter()
+    calls, classified = Counter(), 0
 
-    def counting(ref, tax):
-        calls[ref.raw] += 1
+    def counting_extract(resource):
+        calls[resource] += 1
+        return extract_page_ref(resource)
+
+    def counting_classify(ref, tax):
+        nonlocal classified
+        classified += 1
         return classify_page(ref, tax)
 
-    monkeypatch.setattr(classify, "classify_page", counting)
+    monkeypatch.setattr(classify, "extract_page_ref", counting_extract)
+    monkeypatch.setattr(classify, "classify_page", counting_classify)
     build_usage_vectors(records, fixture_taxonomy)
     assert calls == Counter({r.resource for r in records})
+    assert classified == len(calls)

@@ -279,6 +279,35 @@ def test_cluster_outputs_are_reproducible(tmp_path, capsys, sample_log_path, dat
                             "report.json", "report.txt", "usage-vectors.tsv"}
 
 
+# A first and a second run's flags; the first writes files the second does not.
+_RERUNS = {
+    "fewer-communities": (["--tau", "1.0", "--keep-singletons"], ["--tau", "0.0"]),
+    "artificial-then-file": (["--artificial", "--keep-singletons"], ["--keep-singletons"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RERUNS))
+def test_cluster_rerun_into_used_out_writes_what_a_fresh_run_does(case, tmp_path, capsys,
+                                                                  sample_log_path, data_dir):
+    def cluster(flags, out):
+        taxonomy = [] if "--artificial" in flags else ["--taxonomy", str(data_dir / "taxonomy.tsv")]
+        code, _, _ = run(capsys, "cluster", str(sample_log_path), "--out", str(out),
+                         *taxonomy, *flags)
+        assert code == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    first, second = _RERUNS[case]
+    used = tmp_path / "used"
+    before = cluster(first, used)
+    fresh = cluster(second, tmp_path / "fresh")
+    assert before.keys() - fresh.keys()
+    # Files that are no cluster output stay, whatever their name.
+    mine = {"notes.txt": b"mine\n", "community-01.txt": b"mine\n", "community-001.tsv": b"x"}
+    for name, data in mine.items():
+        (used / name).write_bytes(data)
+    assert cluster(second, used) == {**fresh, **mine}
+
+
 def test_taxonomy_show(capsys, tmp_path, data_dir):
     tax = tmp_path / "t.tsv"
     shutil.copy(data_dir / "taxonomy.tsv", tax)
@@ -543,3 +572,13 @@ def test_failure_prints_one_error_line(case, tmp_path, capsys, sample_log_path, 
     assert not target.exists()
     if case == "out-is-a-file":
         assert (tmp_path / "out").read_text() == "keep me\n"
+
+
+def test_parse_out_is_a_directory_names_it(tmp_path, capsys, sample_log_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    code, stdout, stderr = run(capsys, "parse", str(sample_log_path), "--out", str(out))
+    assert code == 1
+    assert (stdout, stderr) == ("", f"error: cannot write {out}: Is a directory\n")
+    assert list(tmp_path.glob(".tmp-*~")) == []
+    assert list(out.iterdir()) == []

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from commdir.artificial import _jaccard, jaccard
+from commdir.artificial import _jaccard
 from commdir.classify import UNSPECIFIED, UsageVector, build_usage_vectors
 from commdir.community import (
     Community,
@@ -20,23 +20,30 @@ from commdir.community import (
     directory_doc,
     directory_text,
     find_communities,
-    similarity,
     threshold_join,
 )
 from commdir.taxonomy import ancestors, make_taxonomy
+from test_artificial import jaccard
 
 
 def vec(user, counts):
     return UsageVector(user, dict(counts), sum(counts.values()))
 
 
+def similarity(u, v):
+    """Cosine similarity of two usage vectors, unspecified coordinate included:
+    the pairwise reference of the user-graph oracles."""
+    a, b = u.counts, v.counts
+    return _cosine(sum(n * b.get(k, 0) for k, n in a.items()),
+                   sum(n * n for n in a.values()), sum(n * n for n in b.values()))
+
+
 def graph_from_edges(vertices, edges):
-    adj = {v: set() for v in vertices}
+    adj = {v: set() for v in sorted(vertices)}
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    return SimilarityGraph(tuple(sorted(vertices)),
-                           {v: frozenset(n) for v, n in adj.items()}, 0.0)
+    return SimilarityGraph({v: frozenset(n) for v, n in adj.items()})
 
 
 def brute_force_maximal_cliques(graph):
@@ -118,7 +125,7 @@ def test_min_size_filters_small_cliques():
 
 
 def test_empty_graph_no_communities():
-    g = SimilarityGraph((), {}, 0.5)
+    g = SimilarityGraph({})
     assert find_communities(g) == []
 
 
@@ -136,7 +143,7 @@ def test_explosion_guard_trips():
 def test_large_clique_search_is_not_bounded_by_recursion_limit():
     vertices = tuple(f"v{i:03d}" for i in range(400))
     everyone = frozenset(vertices)
-    g = SimilarityGraph(vertices, {v: everyone - {v} for v in vertices}, 0.0)
+    g = SimilarityGraph({v: everyone - {v} for v in vertices})
     limit = sys.getrecursionlimit()
     # Far less headroom than one frame per clique member would need.
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
@@ -226,7 +233,7 @@ def test_identical_users_form_one_community_quickly():
     # all of P at every level made this cubic (K_900 took about 9 s).
     vertices = tuple(f"u{i:04d}" for i in range(1500))
     everyone = frozenset(vertices)
-    g = SimilarityGraph(vertices, {v: everyone - {v} for v in vertices}, 0.5)
+    g = SimilarityGraph({v: everyone - {v} for v in vertices})
     start = time.perf_counter()
     found = find_communities(g)
     assert time.perf_counter() - start < 10.0
@@ -399,7 +406,7 @@ def random_taxonomy_and_community(rng):
     tax = make_taxonomy(entries)
     # Keys outside the taxonomy: unspecified, unknown children of known
     # categories, look-alike prefixes and other roots.
-    keys = list(tax.paths) + [UNSPECIFIED, "Top/c1/zz", "Top/c", "Top/c1x",
+    keys = list(tax) + [UNSPECIFIED, "Top/c1/zz", "Top/c", "Top/c1x",
                               "Topx/c1", "Other/c1", "Top/", "Top//c1"]
     profile = {k: rng.randint(1, 20)
                for k in rng.sample(keys, rng.randint(1, len(keys)))}
@@ -411,12 +418,12 @@ def test_category_scores_match_prefix_scan():
     for _ in range(300):
         tax, com = random_taxonomy_and_community(rng)
         assert full_scores(com, tax) == \
-            {path: prefix_scan_score(path, com, tax) for path in tax.paths}
+            {path: prefix_scan_score(path, com, tax) for path in tax}
 
 
 def full_scan_directory(tax, community, theta):
     """Reference: score every category of the taxonomy, then select from them all."""
-    scores = {path: prefix_scan_score(path, community, tax) for path in tax.paths}
+    scores = {path: prefix_scan_score(path, community, tax) for path in tax}
     selected = {}
     for path, score in scores.items():
         if score >= theta:
@@ -439,7 +446,7 @@ def test_directory_theta_zero_selects_everything(sample_records, fixture_taxonom
     vectors = build_usage_vectors(sample_records, fixture_taxonomy)
     com = community_profile([vectors[0].user], vectors)
     cdir = build_community_directory(fixture_taxonomy, com, 0.0)
-    assert set(cdir.selected) == set(fixture_taxonomy.paths)
+    assert set(cdir.selected) == set(fixture_taxonomy)
 
 
 def test_directory_impossible_theta_is_empty(fixture_taxonomy):
@@ -469,7 +476,7 @@ def test_sample_user_directory_at_theta_010(sample_records, fixture_taxonomy):
 
 def test_directory_is_ancestor_closed_and_monotone(fixture_taxonomy):
     rng = random.Random(77)
-    paths = [p for p in fixture_taxonomy.paths]
+    paths = list(fixture_taxonomy)
     for _ in range(30):
         profile = {p: rng.randint(1, 9) for p in rng.sample(paths, rng.randint(1, len(paths)))}
         if rng.random() < 0.5:
@@ -490,8 +497,8 @@ def test_scores_invariant_under_profile_scaling(fixture_taxonomy):
     scaled = Community(("u",), {k: 7 * v for k, v in profile.items()}, 42)
     scores = full_scores(com, fixture_taxonomy)
     scaled_scores = full_scores(scaled, fixture_taxonomy)
-    assert scores.keys() == scaled_scores.keys() == set(fixture_taxonomy.paths)
-    for path in fixture_taxonomy.paths:
+    assert scores.keys() == scaled_scores.keys() == set(fixture_taxonomy)
+    for path in fixture_taxonomy:
         assert scores[path] == pytest.approx(scaled_scores[path], abs=1e-12)
 
 

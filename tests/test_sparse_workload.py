@@ -8,15 +8,14 @@ similarity joins equal the all-pairs oracle.
 import pathlib
 import sys
 
-from commdir.artificial import (_jaccard, build_artificial_directory, cluster_sites, jaccard,
-                                profile_sites)
+from commdir.artificial import _jaccard, build_artificial_directory, cluster_sites, profile_sites
 from commdir.classify import build_usage_vectors
 from commdir.cli import main, read_records
 from commdir.clf import DEFAULT_POLICY, filter_records
-from commdir.community import build_graph, similarity, threshold_join
+from commdir.community import build_graph, threshold_join
 from commdir.urls import extract_page_ref
-from test_artificial import union_find_clusters
-from test_community import all_pairs_join
+from test_artificial import jaccard, union_find_clusters
+from test_community import all_pairs_join, similarity
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 

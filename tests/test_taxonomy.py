@@ -6,10 +6,6 @@ from hypothesis import given, strategies as st
 from commdir.taxonomy import (
     MAX_DEPTH,
     ROOT,
-    BadWeightError,
-    DuplicatePathError,
-    EmptyFileError,
-    InvalidPathError,
     TaxonomyError,
     add_or_update_category,
     ancestors,
@@ -30,9 +26,7 @@ def load_str(text):
 def test_load_auto_creates_ancestors():
     tax = load_str(TWO_LEAF_FILE)
     assert len(tax) == 4
-    assert set(tax.paths) == {"Top", "Top/Computers",
-                              "Top/Computers/HTML", "Top/Computers/XML"}
-    assert tax.max_depth == 2
+    assert set(tax) == {"Top", "Top/Computers", "Top/Computers/HTML", "Top/Computers/XML"}
     assert tax.categories["Top/Computers/XML"].keywords == {"xml", "xsl", "dtd"}
     assert tax.categories["Top/Computers/XML"].weight == 0.9
 
@@ -40,49 +34,48 @@ def test_load_auto_creates_ancestors():
 def test_load_root_only():
     tax = load_str("Top\n")
     assert len(tax) == 1
-    assert tax.max_depth == 0
     assert tax.categories[ROOT].weight == 0.0
 
 
 def test_duplicate_path_rejected():
-    with pytest.raises(DuplicatePathError):
+    with pytest.raises(TaxonomyError, match="line 2: duplicate path 'Top/A'"):
         load_str("Top/A\nTop/A\tx\n")
 
 
 def test_empty_file_rejected():
     for text in ("", "# just a comment\n", "\n   \n"):
-        with pytest.raises(EmptyFileError):
+        with pytest.raises(TaxonomyError, match="taxonomy file has no categories"):
             load_str(text)
 
 
 def test_bad_weight_rejected():
-    with pytest.raises(BadWeightError):
+    with pytest.raises(TaxonomyError, match=r"weight for 'Top/A' outside \[0, 1\]: 1\.5"):
         load_str("Top/A\tx\t1.5\n")
-    with pytest.raises(BadWeightError):
+    with pytest.raises(TaxonomyError, match=r"weight for 'Top/A' outside \[0, 1\]: -0\.1"):
         load_str("Top/A\tx\t-0.1\n")
-    with pytest.raises(BadWeightError):
+    with pytest.raises(TaxonomyError, match="line 1: bad weight 'heavy'"):
         load_str("Top/A\tx\theavy\n")
 
 
 def test_unrooted_path_rejected():
-    with pytest.raises(InvalidPathError):
+    with pytest.raises(TaxonomyError, match="category path must be rooted at 'Top'"):
         load_str("Other/A\tx\n")
-    with pytest.raises(InvalidPathError):
+    with pytest.raises(TaxonomyError, match="category path has empty segment"):
         load_str("Top//A\tx\n")
 
 
 def test_paths_deeper_than_max_depth_rejected():
     deep = ROOT + "/c" * MAX_DEPTH
-    assert make_taxonomy({deep: ((), None)}).max_depth == MAX_DEPTH
-    with pytest.raises(InvalidPathError, match="levels deep"):
+    assert deep in make_taxonomy({deep: ((), None)})
+    with pytest.raises(TaxonomyError, match=f"{MAX_DEPTH + 1} levels deep"):
         make_taxonomy({deep + "/c": ((), None)})
-    with pytest.raises(InvalidPathError):
+    with pytest.raises(TaxonomyError, match="levels deep"):
         add_or_update_category(load_str("Top\n"), deep + "/c", ["k"])
 
 
 def test_default_weights_are_depth_proportional():
     tax = load_str("Top/A/B/C\n")
-    weights = {p: tax.categories[p].weight for p in tax.paths}
+    weights = {p: tax.categories[p].weight for p in tax}
     assert weights == {"Top": 0.0, "Top/A": 1 / 3, "Top/A/B": 2 / 3, "Top/A/B/C": 1.0}
 
 
@@ -95,7 +88,7 @@ def test_explicit_weight_survives_default_recompute():
 
 def test_comments_and_blank_lines_ignored():
     tax = load_str("# header\n\nTop/A\tx\n  \n# tail\n")
-    assert set(tax.paths) == {"Top", "Top/A"}
+    assert set(tax) == {"Top", "Top/A"}
 
 
 def test_add_category(fixture_taxonomy):
@@ -124,7 +117,7 @@ def test_add_updates_depth_defaults():
 
 
 def test_add_bad_weight_rejected(fixture_taxonomy):
-    with pytest.raises(BadWeightError):
+    with pytest.raises(TaxonomyError, match=r"weight for 'Top/X' outside \[0, 1\]"):
         add_or_update_category(fixture_taxonomy, "Top/X", [], weight=2.0)
 
 
@@ -139,14 +132,14 @@ def test_ancestors():
 def test_depth_is_slash_count():
     tax = load_str(TWO_LEAF_FILE)
     assert depth("Top") == 0
-    assert tax.max_depth == max(depth(p) for p in tax.paths)
+    assert [depth(p) for p in tax] == [0, 1, 2, 2]
 
 
 def test_serialize_round_trip(fixture_taxonomy):
     text = serialize_taxonomy(fixture_taxonomy)
     again = load_str(text)
-    assert again.paths == fixture_taxonomy.paths
-    for path in fixture_taxonomy.paths:
+    assert tuple(again) == tuple(fixture_taxonomy)
+    for path in fixture_taxonomy:
         a, b = fixture_taxonomy.categories[path], again.categories[path]
         assert a.keywords == b.keywords
         assert a.weight == b.weight
@@ -183,7 +176,7 @@ _SEGMENTS = st.lists(st.text(alphabet="abcXYZ0123456789", min_size=1, max_size=5
 def test_ancestor_closure_always_holds(path_segments):
     entries = {"/".join(["Top"] + segs): ((), None) for segs in path_segments}
     tax = make_taxonomy(entries)
-    for path in tax.paths:
+    for path in tax:
         for anc in ancestors(path):
             assert anc in tax
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 
 from commdir.urls import (
     PageRef,
-    canonical_path,
     extract_page_ref,
     strip_query,
     tokenize,
@@ -76,14 +75,17 @@ def test_bare_slash_is_empty_local_ref():
 
 @pytest.mark.parametrize("resource", ["", "/", "?q", "#f"])
 def test_empty_path_is_empty_local_ref(resource):
-    assert extract_page_ref(resource) == PageRef(None, (), "", resource)
+    assert extract_page_ref(resource) == PageRef(None, (), "")
 
 
 def test_query_stripped_and_lowercased():
     ref = extract_page_ref("/WWW.Example.COM/Dir/Page.HTML?Q=1")
     assert (ref.site, ref.directories, ref.page) == \
         ("www.example.com", ("dir",), "page.html")
-    assert ref.raw == "/WWW.Example.COM/Dir/Page.HTML?Q=1"
+
+
+def test_page_ref_equality_ignores_query():
+    assert extract_page_ref("/a.com/x.html?1") == extract_page_ref("/a.com/x.html?2")
 
 
 def test_single_label_is_not_a_site():
@@ -93,16 +95,16 @@ def test_single_label_is_not_a_site():
 
 
 @pytest.mark.parametrize("ref,expected", [
-    (PageRef("www.w3schools.com", ("xml",), "note.xml", ""), {"w3schools", "xml", "note"}),
-    (PageRef(None, (), "apache_pb.gif", ""), {"apache", "pb"}),
-    (PageRef("www.google.co.in", (), "", ""), {"google", "co"}),
+    (PageRef("www.w3schools.com", ("xml",), "note.xml"), {"w3schools", "xml", "note"}),
+    (PageRef(None, (), "apache_pb.gif"), {"apache", "pb"}),
+    (PageRef("www.google.co.in", (), ""), {"google", "co"}),
 ])
 def test_tokenize_examples(ref, expected):
     assert set(tokenize(ref)) == expected
 
 
 def test_tokenize_counts_repeats():
-    ref = PageRef("www.xml.example.com", ("xml",), "xml_intro.html", "")
+    ref = PageRef("www.xml.example.com", ("xml",), "xml_intro.html")
     assert tokenize(ref)["xml"] == 3
 
 
@@ -114,8 +116,17 @@ def test_page_ref_is_frozen():
 
 
 def test_tokenize_drops_www_and_suffix_only():
-    assert set(tokenize(PageRef("news.bbc.co.uk", (), "", ""))) == {"news", "bbc", "co"}
-    assert set(tokenize(PageRef("www.com", (), "", ""))) == set()
+    assert set(tokenize(PageRef("news.bbc.co.uk", (), ""))) == {"news", "bbc", "co"}
+    assert set(tokenize(PageRef("www.com", (), ""))) == set()
+
+
+def canonical_path(ref):
+    """Rejoin a reference into its canonical query-stripped, lowercased path:
+    the round-trip witness of extract_page_ref."""
+    parts = [] if ref.site is None else [ref.site]
+    parts.extend(ref.directories)
+    parts.append(ref.page)
+    return "/" + "/".join(parts)
 
 
 def test_sample_lines_rejoin_and_are_idempotent(sample_records):
