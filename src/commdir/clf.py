@@ -111,6 +111,11 @@ _LINE_RE = re.compile(
     r'([^ \t]+)[ \t]+([^ \t]+)[ \t]*$'
 )
 
+# A CLF date in ASCII digits, its offset at most 23 hours 59 minutes either
+# way; parse_timestamp leaves the calendar to datetime().
+_DATE_RE = re.compile(r"(\d\d)/(" + "|".join(_MONTH_NAME) + r")/(\d{4}):(\d\d):(\d\d):(\d\d)"
+                      r" ([+-])([01]\d|2[0-3])([0-5]\d)", re.ASCII)
+
 # Tokens of a line that failed _LINE_RE: a bracketed date, a quoted request
 # or a run of non-blanks. An unterminated bracket or quote takes the rest of
 # the line and is captured as group 2.
@@ -122,36 +127,19 @@ _TOKEN_RE = re.compile(r'(\[[^\]]*\]|"' + _REQUEST + r'"|([\["]).*|[^ \t]+)', re
 _UNESCAPED_SPACE_RE = re.compile(r"(?<!\\) ")
 
 
-def _tz_from_offset(s: str) -> timezone | None:
-    if len(s) != 5 or s[0] not in "+-" or not (s[1:].isascii() and s[1:].isdigit()):
-        return None
-    hours, minutes = int(s[1:3]), int(s[3:5])
-    if hours > 23 or minutes > 59:
-        return None
-    delta = timedelta(hours=hours, minutes=minutes)
-    return timezone(-delta if s[0] == "-" else delta)
-
-
 # Access logs repeat timestamps heavily (many hits per second).
 @functools.lru_cache(maxsize=8192)
 def parse_timestamp(s: str) -> datetime | None:
-    """Parse ``dd/Mon/yyyy:HH:MM:SS +zzzz`` (fixed width); None when malformed."""
-    if len(s) != 26 or s[2] != "/" or s[6] != "/" or s[11] != ":" \
-            or s[14] != ":" or s[17] != ":" or s[20] != " ":
+    """Parse ``dd/Mon/yyyy:HH:MM:SS ±hhmm``, offset -2359 to +2359; None when malformed."""
+    m = _DATE_RE.fullmatch(s)
+    if m is None:
         return None
-    month = _MONTH_NUM.get(s[3:6])
-    if month is None:
-        return None
-    tz = _tz_from_offset(s[21:])
-    if tz is None:
-        return None
-    digits = s[0:2] + s[7:11] + s[12:14] + s[15:17] + s[18:20]
-    if not (digits.isascii() and digits.isdigit()):
-        return None  # int() would also take a sign, "_" or a blank
+    day, month, year, hour, minute, second, sign, oh, om = m.groups()
+    offset = timedelta(hours=int(oh), minutes=int(om))
     try:
-        return datetime(int(s[7:11]), month, int(s[0:2]),
-                        int(s[12:14]), int(s[15:17]), int(s[18:20]), tzinfo=tz)
-    except ValueError:
+        return datetime(int(year), _MONTH_NUM[month], int(day), int(hour), int(minute),
+                        int(second), tzinfo=timezone(-offset if sign == "-" else offset))
+    except ValueError:  # no such date or time, such as 31/Apr or 24:00:00
         return None
 
 

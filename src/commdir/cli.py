@@ -36,7 +36,7 @@ EXIT_EMPTY = 2
 EXIT_EXPLOSION = 3
 
 # The files of ``--out`` that a ``cluster`` run writes only for some inputs or flags.
-_STALE_OUTPUT = re.compile(r"community-\d{3,}\.(?:txt|json)\Z|artificial-taxonomy\.tsv\Z")
+_STALE_OUTPUT = re.compile(r"community-[0-9]{3,}\.(?:txt|json)\Z|artificial-taxonomy\.tsv\Z")
 
 
 class NoRecordsError(Exception):

@@ -41,7 +41,7 @@ class ExplosionGuardError(RuntimeError):
 class SimilarityGraph:
     """Each user's neighbours, users in sorted order."""
 
-    adjacency: dict[str, frozenset[str]]
+    adjacency: dict[str, set[str]]
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -76,7 +76,7 @@ def _cosine(dot: int, na: int, nb: int) -> float:
 
 def threshold_join(weights: Mapping[str, Mapping[object, int]],
                    score: Callable[[int, int, int], float],
-                   threshold: float) -> dict[str, frozenset[str]]:
+                   threshold: float) -> dict[str, set[str]]:
     """Adjacency of the id pairs whose score reaches threshold, keys in sorted order.
 
     Each item is a {key: positive int} map. An inverted-index join: items are
@@ -91,7 +91,7 @@ def threshold_join(weights: Mapping[str, Mapping[object, int]],
     """
     ordered = sorted(weights)
     if threshold <= 0:
-        everyone = frozenset(ordered)
+        everyone = set(ordered)
         return {b: everyone - {b} for b in ordered}
     adj: dict[str, set[str]] = {b: set() for b in ordered}
     # Dict postings, not lists of (id, weight) tuples: an entry is no object
@@ -114,7 +114,7 @@ def threshold_join(weights: Mapping[str, Mapping[object, int]],
     if len(empty) > 1 and score(0, 0, 0) >= threshold:
         for b in empty:
             adj[b] |= empty - {b}
-    return {k: frozenset(n) for k, n in adj.items()}
+    return adj
 
 
 def build_graph(vectors: Iterable[UsageVector], tau: float = DEFAULT_TAU) -> SimilarityGraph:
@@ -155,7 +155,7 @@ def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,
                 pivot, most = u, n
                 if n >= len(p) - 1:
                     break
-        return r, p, x, iter(sorted(p - adj[pivot]))
+        return r, p, x, iter(p - adj[pivot])
 
     # Bron-Kerbosch on an explicit stack, free of the recursion limit.
     stack = [frame((), set(adj), set())] if adj else []

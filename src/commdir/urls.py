@@ -25,19 +25,14 @@ class PageRef:
 
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
-_HOST_LABEL = re.compile(r"[a-z0-9-]+\Z")
+# Purely syntactic: >= 2 dot-separated labels of [a-z0-9-]. No TLD list,
+# no DNS; misdetections land in site=None and are excluded from mining.
+_HOSTNAME = re.compile(r"[a-z0-9-]+(?:\.[a-z0-9-]+)+\Z")
 
 
 def strip_query(resource: str) -> str:
     """Drop everything from the first ``?`` or ``#`` on; percent-escapes stay."""
     return resource.partition("?")[0].partition("#")[0]
-
-
-def _is_hostname(segment: str) -> bool:
-    # Purely syntactic: >= 2 dot-separated labels of [a-z0-9-]. No TLD list,
-    # no DNS; misdetections land in site=None and are excluded from mining.
-    labels = segment.split(".")
-    return len(labels) >= 2 and all(_HOST_LABEL.match(l) for l in labels)
 
 
 # Logs repeat resources heavily; a PageRef is frozen, so sharing one is safe.
@@ -53,7 +48,7 @@ def extract_page_ref(resource: str) -> PageRef:
     """
     path = strip_query(resource).lower().lstrip("/")
     segments = path.split("/")
-    if _is_hostname(segments[0]):
+    if _HOSTNAME.match(segments[0]):
         site, rest = segments[0], segments[1:]
     else:
         site, rest = None, segments

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from commdir import clf
 from commdir.clf import (
+    _MONTH_NUM,
     MAX_LINE_BYTES,
     FilterPolicy,
     LogRecord,
@@ -222,12 +223,78 @@ def test_timestamp_keeps_logged_offset():
     assert format_timestamp(rec.timestamp) == "01/Jan/2020:00:00:00 +0530"
 
 
+def test_format_timestamp_rejects_naive_datetime():
+    with pytest.raises(ValueError, match="timezone-aware"):
+        format_timestamp(datetime(2000, 10, 10, 13, 55, 36))
+
+
 def test_parse_timestamp_rejects_malformed():
     for s in ["", "10/Oct/2000:13:55:36", "10/Xxx/2000:13:55:36 -0700",
               "99/Oct/2000:13:55:36 -0700", "10/Oct/2000:13:55:36 -07a0",
               "10-Oct-2000:13:55:36 -0700", "+1/Oct/2000:13:55:36 -0700",
               "10/Oct/2_00:13:55:36 -0700", "10/Oct/2000: 3:55:36 -0700"]:
         assert parse_timestamp(s) is None
+
+
+# parse_timestamp as it was before its grammar became one pattern, kept as
+# the oracle of that pattern.
+def _tz_from_offset(s: str) -> timezone | None:
+    if len(s) != 5 or s[0] not in "+-" or not (s[1:].isascii() and s[1:].isdigit()):
+        return None
+    hours, minutes = int(s[1:3]), int(s[3:5])
+    if hours > 23 or minutes > 59:
+        return None
+    delta = timedelta(hours=hours, minutes=minutes)
+    return timezone(-delta if s[0] == "-" else delta)
+
+
+def old_parse_timestamp(s: str) -> datetime | None:
+    """Parse ``dd/Mon/yyyy:HH:MM:SS +zzzz`` (fixed width); None when malformed."""
+    if len(s) != 26 or s[2] != "/" or s[6] != "/" or s[11] != ":" \
+            or s[14] != ":" or s[17] != ":" or s[20] != " ":
+        return None
+    month = _MONTH_NUM.get(s[3:6])
+    if month is None:
+        return None
+    tz = _tz_from_offset(s[21:])
+    if tz is None:
+        return None
+    digits = s[0:2] + s[7:11] + s[12:14] + s[15:17] + s[18:20]
+    if not (digits.isascii() and digits.isdigit()):
+        return None  # int() would also take a sign, "_" or a blank
+    try:
+        return datetime(int(s[7:11]), month, int(s[0:2]),
+                        int(s[12:14]), int(s[15:17]), int(s[18:20]), tzinfo=tz)
+    except ValueError:
+        return None
+
+
+def test_date_pattern_equals_field_checks():
+    # Dates near the grammar: each field often out of range (offset hours
+    # 20-29, minutes 50-69, day 29-31 of every month), months in any case,
+    # then up to two characters replaced, inserted or deleted, often by a
+    # digit that is not ASCII. repr compares the offset too, which == ignores.
+    rng = random.Random(17)
+    months = list(_MONTH_NUM) + ["oct", "OCT", "oCt", "Sept", "J\u0430n"]
+    marks = "0123456789/: +-_x\t\u0661\u0966\uff10\u00b2\u2070"
+    valid = 0
+    for _ in range(100_000):
+        f = [rng.choice((rng.randint(1, 28), rng.randint(0, 39))),
+             rng.randint(0, 9999), rng.randint(0, 29), rng.randint(0, 69),
+             rng.randint(0, 69), rng.randint(20, 29), rng.randint(50, 69)]
+        for i, top in ((2, 23), (3, 59), (4, 59), (5, 23), (6, 59)):
+            if rng.random() < 0.8:
+                f[i] = rng.randint(0, top)
+        s = (f"{f[0]:02d}/{rng.choice(months)}/{f[1]:04d}:{f[2]:02d}:{f[3]:02d}:{f[4]:02d}"
+             f" {rng.choice('+-+-~')}{f[5]:02d}{f[6]:02d}")
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            i = rng.randrange(len(s) + 1)
+            edit = rng.randrange(4)  # replace (twice as often), insert or delete
+            s = s[:i] + (rng.choice(marks) if edit else "") + s[i + (edit != 1):]
+        new = parse_timestamp(s)
+        assert repr(new) == repr(old_parse_timestamp(s)), repr(s)
+        valid += new is not None
+    assert 15_000 < valid < 50_000
 
 
 def test_sample_file_parses_clean(sample_log_path):

@@ -1,13 +1,19 @@
 import gzip
 import json
 import os
+import pathlib
 import shutil
 import stat
+import subprocess
+import sys
 
 import pytest
 
 from commdir.cli import main
 from commdir.taxonomy import MAX_DEPTH
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -301,11 +307,33 @@ def test_cluster_rerun_into_used_out_writes_what_a_fresh_run_does(case, tmp_path
     before = cluster(first, used)
     fresh = cluster(second, tmp_path / "fresh")
     assert before.keys() - fresh.keys()
-    # Files that are no cluster output stay, whatever their name.
-    mine = {"notes.txt": b"mine\n", "community-01.txt": b"mine\n", "community-001.tsv": b"x"}
-    for name, data in mine.items():
+    # Files that are no cluster output stay, whatever their name, also one
+    # numbered in Arabic-Indic digits; a stale ASCII-numbered one goes.
+    mine = {"notes.txt": b"mine\n", "community-01.txt": b"mine\n", "community-001.tsv": b"x",
+            "community-\u0661\u0662\u0663.txt": b"mine\n"}
+    for name, data in {**mine, "community-123.txt": b"stale\n"}.items():
         (used / name).write_bytes(data)
     assert cluster(second, used) == {**fresh, **mine}
+
+
+def test_cluster_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Several stages iterate sets, whose order follows PYTHONHASHSEED.
+    files, _ = gen.generate("overlap-cliques", 5, str(tmp_path / "in"),
+                            {"users": 60, "areas": 2, "topics_per_area": 4,
+                             "hits_per_user": 40})
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    for mode in (["--taxonomy", files["taxonomy"], "--tau", "0.4", "--keep-singletons"],
+                 ["--artificial", "--tau", "0.4"]):
+        trees = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"out-{mode[0][2:]}-{seed}"
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            subprocess.run([sys.executable, "-m", "commdir.cli", "cluster", files["log"],
+                            "--out", str(out), *mode],
+                           env=env, check=True, stdout=subprocess.DEVNULL)
+            trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert trees[0] == trees[1]
+        assert len(trees[0]) > 100  # dozens of overlapping communities
 
 
 def test_taxonomy_show(capsys, tmp_path, data_dir):
@@ -523,6 +551,8 @@ def _failing_run(case, tmp_path, log, tax):
         deep.write_text("Top" + "/c" * 600 + "\tw3schools,xml\n")
         return ["cluster", log, "--taxonomy", str(deep), "--keep-singletons",
                 "--out", str(out)], out
+    if case == "bad-policy-methods":
+        return cluster + ["--policy-methods", ","], out
     if case.startswith("bad-policy-status"):
         # Out-of-range classes and non-ASCII digits are no status class.
         return cluster + ["--policy-status", case.partition(":")[2] or "x"], out
@@ -554,7 +584,7 @@ def _failing_run(case, tmp_path, log, tax):
 
 @pytest.mark.parametrize("case", [
     "tau-above-1", "negative-sigma", "missing-out-dir", "out-is-a-file",
-    "taxonomy-not-utf8", "taxonomy-too-deep", "bad-policy-status",
+    "taxonomy-not-utf8", "taxonomy-too-deep", "bad-policy-methods", "bad-policy-status",
     "bad-policy-status:7", "bad-policy-status:0", "bad-policy-status:-2",
     "bad-policy-status:1_0", "bad-policy-status:2,\u0663", "truncated-gzip",
     "corrupt-gzip-parse", "corrupt-gzip-cluster", "truncated-gzip-records", "missing-log"])

@@ -355,6 +355,40 @@ def test_build_graph_rejects_negative_counts():
         build_graph([vec("a", {"X": -1}), vec("b", {"X": 1})], 0.0)
 
 
+@pytest.mark.parametrize("tau", [-0.1, 1.5, float("nan")])
+def test_build_graph_rejects_tau_outside_unit_interval(tau):
+    with pytest.raises(ValueError, match="tau must be in"):
+        build_graph([vec("a", {"X": 1})], tau)
+
+
+def test_build_graph_rejects_duplicate_users():
+    with pytest.raises(ValueError, match="duplicate user ids"):
+        build_graph([vec("a", {"X": 1}), vec("a", {"Y": 1})])
+
+
+def test_build_graph_keeps_the_sets_it_joined():
+    # 600 users over 7 categories, nearly all pairs above tau: 178,848 edges
+    # in sets that take 20 MB. A frozenset copy of each would double the peak.
+    rng = random.Random(3)
+    cats = [f"Top/C{i}" for i in range(7)]
+    vectors = [vec(f"u{i:04d}", {c: rng.randint(1, 9) for c in cats}) for i in range(600)]
+    tracemalloc.start()
+    try:
+        graph = build_graph(vectors, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, graph.adjacency.values())) // 2 > 150_000
+    assert peak < 30_000_000
+
+
+@pytest.mark.parametrize("theta", [-0.1, 1.5, float("nan")])
+def test_directory_rejects_theta_outside_unit_interval(theta):
+    tax = make_taxonomy({"Top/A": (("a",), None)})
+    with pytest.raises(ValueError, match="theta must be in"):
+        build_community_directory(tax, Community(("u",), {"Top/A": 1}, 1), theta)
+
+
 def test_community_profile_sums_members():
     vectors = [vec("a", {"X": 2, UNSPECIFIED: 1}), vec("b", {"X": 1, "Y": 3})]
     com = community_profile(["b", "a"], vectors)

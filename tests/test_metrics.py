@@ -72,6 +72,10 @@ def test_coverage_ignores_unspecified_mass(fixture_taxonomy):
     assert unspecified_fraction(com) == pytest.approx(0.75)
 
 
+def test_unspecified_fraction_of_no_hits_is_zero():
+    assert unspecified_fraction(Community(("u",), {}, 0)) == 0.0
+
+
 def test_coverage_defined_when_all_unspecified(fixture_taxonomy):
     com = Community(("u",), {UNSPECIFIED: 4}, 4)
     cdir = build_community_directory(fixture_taxonomy, com, 0.5)

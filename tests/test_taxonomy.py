@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from commdir.taxonomy import (
     MAX_DEPTH,
     ROOT,
+    Category,
+    Taxonomy,
     TaxonomyError,
     add_or_update_category,
     ancestors,
@@ -62,6 +64,21 @@ def test_unrooted_path_rejected():
         load_str("Other/A\tx\n")
     with pytest.raises(TaxonomyError, match="category path has empty segment"):
         load_str("Top//A\tx\n")
+
+
+def test_bad_line_shape_rejected():
+    with pytest.raises(TaxonomyError, match="line 2: more than 3 columns"):
+        load_str("Top/A\tx\nTop/B\tx\t0.5\textra\n")
+    with pytest.raises(TaxonomyError, match="line 1: empty category path"):
+        load_str("  \tx\n")
+
+
+def test_taxonomy_must_be_rooted_and_closed():
+    cat = Category(frozenset(), 0.5)
+    with pytest.raises(TaxonomyError, match="taxonomy has no root category 'Top'"):
+        Taxonomy({"Top/A": cat})
+    with pytest.raises(TaxonomyError, match="category 'Top/A/B' has no parent 'Top/A'"):
+        Taxonomy({ROOT: cat, "Top/A/B": cat})
 
 
 def test_paths_deeper_than_max_depth_rejected():

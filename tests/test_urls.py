@@ -1,6 +1,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -92,6 +93,36 @@ def test_single_label_is_not_a_site():
     ref = extract_page_ref("/localhost/admin/index.html")
     assert ref.site is None
     assert ref.directories == ("localhost", "admin")
+
+
+# The hostname test before the grammar became one pattern, kept as its oracle.
+_HOST_LABEL = re.compile(r"[a-z0-9-]+\Z")
+
+
+def _is_hostname(segment: str) -> bool:
+    # Purely syntactic: >= 2 dot-separated labels of [a-z0-9-]. No TLD list,
+    # no DNS; misdetections land in site=None and are excluded from mining.
+    labels = segment.split(".")
+    return len(labels) >= 2 and all(_HOST_LABEL.match(l) for l in labels)
+
+
+def test_hostname_pattern_equals_label_loop():
+    # Segments of dots and label characters, 3 in 10 of them with one
+    # character outside the labels' alphabet: "_", a blank, a newline, an
+    # upper-case letter, non-ASCII letters and digits ("\u212a" lowers to "k").
+    rng = random.Random(17)
+    odd = "_ \nA\u00e9\u0131\u0661\u212a"
+    sites = 0
+    for _ in range(100_000):
+        segment = "".join(rng.choices("ab-z09.", k=rng.randint(0, 10)))
+        if rng.random() < 0.3:
+            i = rng.randrange(len(segment) + 1)
+            segment = segment[:i] + rng.choice(odd) + segment[i + 1:]
+        lowered = segment.lower()
+        expected = lowered if _is_hostname(lowered) else None
+        assert extract_page_ref(f"/{segment}/p").site == expected, repr(segment)
+        sites += expected is not None
+    assert 10_000 < sites < 90_000
 
 
 @pytest.mark.parametrize("ref,expected", [
