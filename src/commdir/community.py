@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .classify import UsageVector
-from .taxonomy import ROOT, Taxonomy, ancestors
+from .taxonomy import ROOT, Taxonomy, ancestors, parent
 
 DEFAULT_TAU = 0.5
 DEFAULT_THETA = 0.1
@@ -30,10 +30,11 @@ DEFAULT_CLIQUE_CAP = 1_000_000
 
 
 class ExplosionGuardError(RuntimeError):
-    """Clique enumeration produced more maximal cliques than the cap allows."""
+    """More maximal cliques than the cap allows. The CLI keeps the default cap;
+    library callers can raise it through ``find_communities``'s ``clique_cap``."""
 
     def __init__(self, cap: int):
-        super().__init__(f"more than {cap} maximal cliques; raise the cap or tau")
+        super().__init__(f"more than {cap} maximal cliques; raise tau")
         self.cap = cap
 
 
@@ -144,8 +145,10 @@ def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,
     adj = graph.adjacency
     found = 0
     kept: list[tuple[str, ...]] = []
-
-    def frame(r: tuple[str, ...], p: set[str], x: set[str]):
+    # Bron-Kerbosch on an explicit stack of (R, P, X), free of the recursion limit.
+    stack = [((), set(adj), set())] if adj else []
+    while stack:
+        r, p, x = stack.pop()
         # Tomita's pivot maximizes |adj[u] & p|, but any pivot in P | X is
         # correct, so the scan stops at one that leaves at most one branch.
         pivot, most = None, -1
@@ -155,28 +158,18 @@ def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,
                 pivot, most = u, n
                 if n >= len(p) - 1:
                     break
-        return r, p, x, iter(p - adj[pivot])
-
-    # Bron-Kerbosch on an explicit stack, free of the recursion limit.
-    stack = [frame((), set(adj), set())] if adj else []
-    while stack:
-        r, p, x, todo = stack[-1]
-        for v in todo:
+        for v in p - adj[pivot]:
             rv, pv, xv = r + (v,), p & adj[v], x & adj[v]
             p.remove(v)
             x.add(v)
             if pv:
-                stack.append(frame(rv, pv, xv))
-                break
-            if xv:
-                continue
-            found += 1
-            if found > clique_cap:
-                raise ExplosionGuardError(clique_cap)
-            if len(rv) >= min_size or (keep_singletons and len(rv) == 1):
-                kept.append(tuple(sorted(rv)))
-        else:
-            stack.pop()
+                stack.append((rv, pv, xv))
+            elif not xv:
+                found += 1
+                if found > clique_cap:
+                    raise ExplosionGuardError(clique_cap)
+                if len(rv) >= min_size or (keep_singletons and len(rv) == 1):
+                    kept.append(tuple(sorted(rv)))
     return sorted(kept)
 
 
@@ -221,31 +214,20 @@ def build_community_directory(tax: Taxonomy, community: Community,
 def directory_text(cdir: CommunityDirectory, tax: Taxonomy) -> str:
     """Indented deterministic text tree, one ``path  score`` line per category."""
     selected = cdir.selected
-    kids = tax.children_map
-    # A selection is ancestor-closed, so only selected children are descended.
-    lines, stack = [], [(ROOT, 0)] if selected else []
-    while stack:
-        path, d = stack.pop()
-        lines.append(f"{'  ' * d}{path}  {selected[path]:.6f}")
-        stack.extend((c, d + 1) for c in reversed(kids[path]) if c in selected)
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"{'  ' * d}{path}  {selected[path]:.6f}\n" for path, d in tax.walk(selected))
 
 
 def directory_doc(cdir: CommunityDirectory, tax: Taxonomy) -> dict:
     """JSON-ready document: members, theta, and the scored category tree."""
     selected = cdir.selected
-    kids = tax.children_map
-
-    def node(path: str) -> dict:
-        return {
-            "path": path,
-            "score": selected[path],
-            "children": [node(c) for c in kids[path] if c in selected],
-        }
-
+    nodes: dict[str, dict] = {}
+    for path, _ in tax.walk(selected):
+        node = nodes[path] = {"path": path, "score": selected[path], "children": []}
+        if path != ROOT:
+            nodes[parent(path)]["children"].append(node)
     return {
         "members": list(cdir.community.members),
         "theta": cdir.theta,
         "total_hits": cdir.community.total,
-        "tree": node(ROOT) if selected else None,
+        "tree": nodes.get(ROOT),
     }

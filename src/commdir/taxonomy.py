@@ -6,25 +6,24 @@ classification and an informativeness weight in [0, 1]. Weights omitted in
 the file default to depth / greatest depth (the root gets 0), so deeper, more
 specific categories count as more informative unless overridden.
 
-File format: UTF-8 text, one category per line, up to three tab-separated
-columns ``path<TAB>comma,separated,keywords<TAB>weight`` (columns 2-3
-optional), ``#`` starts a comment line. Missing intermediate ancestors are
-auto-created on load.
+File format: UTF-8 text (a leading BOM is ignored), one category per line,
+up to three tab-separated columns ``path<TAB>comma,separated,keywords<TAB>weight``
+(columns 2-3 optional), ``#`` starts a comment line. Missing intermediate
+ancestors are auto-created on load.
 
 Taxonomy values are immutable after construction; edits build new values.
 """
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Container, Iterable, Iterator, Mapping
 
 ROOT = "Top"
-# Deepest category path accepted; rendering a directory recurses once per
-# level, so far deeper paths would meet Python's recursion limit.
+# Deepest category path accepted; the JSON encoder nests two containers per
+# directory level, so far deeper paths would meet Python's recursion limit.
 MAX_DEPTH = 256
 
 
@@ -102,15 +101,17 @@ class Taxonomy:
                 index.setdefault(kw, []).append(path)
         return {kw: tuple(sorted(ps)) for kw, ps in index.items()}
 
-    def walk(self) -> Iterator[tuple[str, int]]:
-        """Depth-first preorder of (path, depth), children in path order."""
+    def walk(self, within: Container[str] | None = None) -> Iterator[tuple[str, int]]:
+        """Depth-first preorder of (path, depth), children in path order.
+
+        Given an ancestor-closed set of paths ``within``, only those are visited.
+        """
         kids = self.children_map
-        stack = [(ROOT, 0)]
+        stack = [(ROOT, 0)] if within is None or ROOT in within else []
         while stack:
             path, d = stack.pop()
             yield path, d
-            for child in reversed(kids[path]):
-                stack.append((child, d + 1))
+            stack.extend((c, d + 1) for c in reversed(kids[path]) if within is None or c in within)
 
 
 def _validate_path(path: str) -> None:
@@ -171,7 +172,7 @@ def make_taxonomy(entries: Mapping[str, tuple[Iterable[str], float | None]]) -> 
 def load_taxonomy(source: str | os.PathLike | IO[str]) -> Taxonomy:
     """Load a taxonomy file (path or open text stream)."""
     if isinstance(source, (str, os.PathLike)):
-        with io.open(source, "r", encoding="utf-8") as f:
+        with open(source, encoding="utf-8-sig") as f:
             return load_taxonomy(f)
     entries: dict[str, tuple[Iterable[str], float | None]] = {}
     for lineno, raw in enumerate(source, 1):

@@ -209,7 +209,8 @@ def test_explosion_guard_maps_to_exit_3(tmp_path, capsys, sample_log_path,
                           "--taxonomy", str(data_dir / "taxonomy.tsv"),
                           "--out", str(tmp_path / "o"))
     assert code == 3
-    assert "cliques" in stderr
+    # No cluster flag sets the cap, so the advice names only tau.
+    assert stderr == "error: more than 10 maximal cliques; raise tau\n"
 
 
 def test_cluster_bad_taxonomy_exits_1(tmp_path, capsys, sample_log_path):

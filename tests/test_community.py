@@ -22,7 +22,8 @@ from commdir.community import (
     find_communities,
     threshold_join,
 )
-from commdir.taxonomy import ancestors, make_taxonomy
+from commdir.metrics import report_json
+from commdir.taxonomy import ROOT, ancestors, make_taxonomy
 from test_artificial import jaccard
 
 
@@ -238,6 +239,22 @@ def test_identical_users_form_one_community_quickly():
     found = find_communities(g)
     assert time.perf_counter() - start < 10.0
     assert found == [vertices]
+
+
+def test_deep_clique_search_holds_one_pending_frame():
+    # K_1500: a search that keeps one P set per clique level holds about
+    # n**2 / 2 members at once (78 MB); one pending frame holds n.
+    vertices = tuple(f"u{i:04d}" for i in range(1500))
+    everyone = frozenset(vertices)
+    g = SimilarityGraph({v: set(everyone - {v}) for v in vertices})
+    tracemalloc.start()
+    try:
+        found = find_communities(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [vertices]
+    assert peak <= 5_000_000
 
 
 def test_build_graph_matches_brute_force_similarity():
@@ -474,6 +491,39 @@ def test_directory_matches_full_scan_selection():
         for theta in (0.0, 1e-12, 0.01, rng.uniform(0.0, 0.2), 0.5, 1.0):
             cdir = build_community_directory(tax, com, theta)
             assert list(cdir.selected.items()) == full_scan_directory(tax, com, theta)
+
+
+def old_directory_text(cdir, tax):
+    """The renderers that walked the children map beside Taxonomy.walk, kept as
+    oracles: an explicit stack for the text, recursion for the document."""
+    selected, kids = cdir.selected, tax.children_map
+    lines, stack = [], [(ROOT, 0)] if selected else []
+    while stack:
+        path, d = stack.pop()
+        lines.append(f"{'  ' * d}{path}  {selected[path]:.6f}")
+        stack.extend((c, d + 1) for c in reversed(kids[path]) if c in selected)
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def old_directory_tree(cdir, tax):
+    selected, kids = cdir.selected, tax.children_map
+
+    def node(path):
+        return {"path": path, "score": selected[path],
+                "children": [node(c) for c in kids[path] if c in selected]}
+
+    return node(ROOT) if selected else None
+
+
+def test_directory_renderings_match_old_renderers():
+    rng = random.Random(1973)
+    for _ in range(300):
+        tax, com = random_taxonomy_and_community(rng)
+        for theta in (0.0, 0.01, rng.uniform(0.0, 0.2), 0.5, 1.0):
+            cdir = build_community_directory(tax, com, theta)
+            assert directory_text(cdir, tax) == old_directory_text(cdir, tax)
+            assert report_json(directory_doc(cdir, tax)["tree"]) == \
+                report_json(old_directory_tree(cdir, tax))
 
 
 def test_directory_theta_zero_selects_everything(sample_records, fixture_taxonomy):

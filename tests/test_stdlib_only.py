@@ -21,5 +21,11 @@ def test_package_imports_only_stdlib(path):
     assert outside == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_parses_as_python_3_10(path):
+    """pyproject.toml says ``requires-python = ">=3.10"``, so no newer syntax (``except*``)."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def test_every_module_is_checked():
     assert len(SOURCES) >= 9

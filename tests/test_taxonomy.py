@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,6 +178,29 @@ def test_walk_is_depth_first_with_sorted_children():
     assert [p for p, _ in tax.walk()] == \
         ["Top", "Top/A", "Top/B", "Top/B/X", "Top/B/Y"]
     assert [d for _, d in tax.walk()] == [0, 1, 1, 2, 2]
+
+
+def random_taxonomy(rng):
+    entries = {"/".join(["Top"] + [f"c{rng.randint(0, 3)}" for _ in range(rng.randint(1, 4))]):
+               ((), None) for _ in range(rng.randint(0, 20))}
+    return make_taxonomy(entries or {ROOT: ((), None)})
+
+
+def test_walk_within_visits_only_an_ancestor_closed_subset():
+    rng = random.Random(18)
+    for _ in range(300):
+        tax = random_taxonomy(rng)
+        within = set()
+        for path in rng.sample(list(tax), rng.randint(0, len(tax))):
+            within.update(ancestors(path), [path])
+        assert list(tax.walk(within)) == [e for e in tax.walk() if e[0] in within]
+        assert list(tax.walk(set())) == []
+
+
+def test_load_file_ignores_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.tsv"
+    path.write_bytes("\ufeffTop/A\tx\nTop/B\ty\n".encode("utf-8"))
+    assert load_taxonomy(path).categories == load_str("Top/A\tx\nTop/B\ty\n").categories
 
 
 def test_keyword_index_maps_tokens_to_paths(fixture_taxonomy):
