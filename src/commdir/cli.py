@@ -111,6 +111,11 @@ def read_records(path: str) -> tuple[list[LogRecord], Counter]:
     return list(_read_log(path, errors)), errors
 
 
+def _policy_flags(policy: FilterPolicy) -> tuple[str, str]:
+    """``policy`` as the values of --policy-methods and --policy-status."""
+    return ",".join(sorted(policy.methods)), ",".join(map(str, sorted(policy.status_classes)))
+
+
 def _policy_from_args(args) -> FilterPolicy:
     methods = frozenset(m.strip() for m in args.policy_methods.split(",") if m.strip())
     statuses = {c.strip() for c in args.policy_status.split(",")} - {""}
@@ -193,14 +198,15 @@ def cmd_sites(args) -> int:
 
 def cmd_cluster(args) -> int:
     policy, kept, parse_errors, filtered_out = _read_input(args)
+    methods, status = _policy_flags(policy)
 
     parameters = {
         "tau": args.tau,
         "theta": args.theta,
         "min_size": args.min_size,
         "keep_singletons": args.keep_singletons,
-        "policy_methods": ",".join(sorted(policy.methods)),
-        "policy_status": ",".join(str(c) for c in sorted(policy.status_classes)),
+        "policy_methods": methods,
+        "policy_status": status,
         "taxonomy_source": "artificial" if args.artificial else "file",
     }
     if args.artificial:
@@ -286,7 +292,7 @@ def _number(kind: type, low: float, high: float, what: str):
     """argparse type: a ``kind`` value in [low, high] (so never NaN), described as ``what``."""
     def convert(text: str):
         with contextlib.suppress(ValueError):
-            value = kind(text)
+            value = kind(text) or kind()  # -0.0 becomes 0.0
             if low <= value <= high:
                 return value
         raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
@@ -297,10 +303,11 @@ _unit_interval = _number(float, 0.0, 1.0, "a number in [0, 1]")
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--policy-methods", default="GET", metavar="M1,M2",
-                   help="HTTP methods to keep (default: GET)")
-    p.add_argument("--policy-status", default="2", metavar="C1,C2",
-                   help="status classes to keep, 2 means 2xx (default: 2)")
+    methods, status = _policy_flags(clf.DEFAULT_POLICY)
+    p.add_argument("--policy-methods", default=methods, metavar="M1,M2",
+                   help="HTTP methods to keep (default: %(default)s)")
+    p.add_argument("--policy-status", default=status, metavar="C1,C2",
+                   help="status classes to keep, 2 means 2xx (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Container, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 ROOT = "Top"
 # Deepest category path accepted; the JSON encoder nests two containers per
@@ -84,34 +84,24 @@ class Taxonomy:
         return iter(self._categories)
 
     @cached_property
-    def children_map(self) -> dict[str, tuple[str, ...]]:
-        kids: dict[str, list[str]] = {p: [] for p in self._categories}
-        for path in self._categories:
-            p = parent(path)
-            if p is not None:
-                kids[p].append(path)
-        return {p: tuple(sorted(c)) for p, c in kids.items()}
-
-    @cached_property
     def keyword_index(self) -> dict[str, tuple[str, ...]]:
-        """keyword token -> paths of the categories carrying it."""
+        """keyword token -> paths of the categories carrying it, sorted as strings."""
         index: dict[str, list[str]] = {}
         for path, cat in self._categories.items():
             for kw in cat.keywords:
                 index.setdefault(kw, []).append(path)
-        return {kw: tuple(sorted(ps)) for kw, ps in index.items()}
+        return {kw: tuple(ps) for kw, ps in index.items()}
 
-    def walk(self, within: Container[str] | None = None) -> Iterator[tuple[str, int]]:
+    def walk(self, within: Iterable[str] | None = None) -> Iterator[tuple[str, int]]:
         """Depth-first preorder of (path, depth), children in path order.
 
+        That is the paths sorted by their segment lists: sorted as strings,
+        "Top/A-B" would come before "Top/A/x", since "-" sorts below "/".
         Given an ancestor-closed set of paths ``within``, only those are visited.
         """
-        kids = self.children_map
-        stack = [(ROOT, 0)] if within is None or ROOT in within else []
-        while stack:
-            path, d = stack.pop()
-            yield path, d
-            stack.extend((c, d + 1) for c in reversed(kids[path]) if within is None or c in within)
+        paths = (self._categories if within is None
+                 else [p for p in within if p in self._categories])
+        return ((p, depth(p)) for p in sorted(paths, key=lambda p: p.split("/")))
 
 
 def _validate_path(path: str) -> None:
@@ -162,7 +152,7 @@ def make_taxonomy(entries: Mapping[str, tuple[Iterable[str], float | None]]) -> 
         if weight is None:
             cats[path] = Category(kwset, depth(path) / max_d if max_d else 0.0)
         else:
-            w = float(weight)
+            w = float(weight) or 0.0  # -0.0 becomes 0.0
             if not 0.0 <= w <= 1.0:
                 raise TaxonomyError(f"weight for {path!r} outside [0, 1]: {weight!r}")
             cats[path] = Category(kwset, w, explicit_weight=True)

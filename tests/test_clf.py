@@ -1,6 +1,8 @@
+import errno
 import gc
 import gzip
 import io
+import os
 import random
 import re
 import sys
@@ -356,6 +358,26 @@ def test_open_log_gzip_magic(tmp_path, sample_log_path):
     with open_log(gz) as f:
         outcomes = list(parse_stream(f))
     assert len(outcomes) == 13 and all(o.ok for o in outcomes)
+
+
+class UnreadableFile(io.BytesIO):
+    """A file that opens, and whose every read fails."""
+
+    def read(self, *args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def test_open_log_closes_the_file_when_reading_its_magic_fails(monkeypatch, sample_log_path):
+    opened = []
+
+    def unreadable(*args):
+        opened.append(UnreadableFile())
+        return opened[-1]
+
+    monkeypatch.setattr(clf, "open", unreadable, raising=False)
+    with pytest.raises(OSError, match=os.strerror(errno.EIO)):
+        open_log(sample_log_path)
+    assert len(opened) == 1 and opened[0].closed
 
 
 def test_open_log_gzip_closes_the_raw_file(tmp_path, sample_log_path, monkeypatch):

@@ -1,5 +1,7 @@
+import errno
 import gzip
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -9,8 +11,10 @@ import sys
 
 import pytest
 
-from commdir.cli import main
+from commdir import clf
+from commdir.cli import _policy_from_args, build_parser, main
 from commdir.taxonomy import MAX_DEPTH
+from test_clf import UnreadableFile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
@@ -142,6 +146,11 @@ def test_sites_policy_flags(tmp_path, capsys):
                           "--policy-methods", "GET,POST", "--policy-status", "2,4")
     assert code == 0
     assert "2 sites" in stdout
+
+
+@pytest.mark.parametrize("argv", [["sites", "x.log"], ["cluster", "x.log", "--artificial"]])
+def test_policy_flags_default_to_the_default_policy(argv):
+    assert _policy_from_args(build_parser().parse_args(argv)) == clf.DEFAULT_POLICY
 
 
 def test_cluster_single_user_needs_singletons(tmp_path, capsys, sample_log_path, data_dir):
@@ -402,6 +411,53 @@ def test_taxonomy_edit_keeps_file_mode(mode, umask_022, capsys, tmp_path, data_d
     assert run(capsys, "taxonomy", "add", str(tax), "Top/News")[0] == 0
     assert stat.S_IMODE(tax.stat().st_mode) == mode
     assert list(tmp_path.iterdir()) == [tax]
+
+
+def test_taxonomy_negative_zero_weight_is_zero(capsys, tmp_path, data_dir):
+    tax = tmp_path / "t.tsv"
+    shutil.copy(data_dir / "taxonomy.tsv", tax)
+    assert run(capsys, "taxonomy", "add", str(tax), "Top/News", "--weight", "-0")[0] == 0
+    assert "Top/News\t\t0.0\n" in tax.read_text()
+    code, stdout, _ = run(capsys, "taxonomy", "show", str(tax))
+    assert code == 0
+    assert "\n  News  w=0.00\n" in stdout
+
+
+def test_cluster_negative_zero_flags_and_weights_are_zero(tmp_path, capsys, sample_log_path,
+                                                          data_dir):
+    tax = tmp_path / "t.tsv"
+    tax.write_text((data_dir / "taxonomy.tsv").read_text().replace(
+        "Top/Search\tsearch,imghp,accounts", "Top/Search\tsearch,imghp,accounts\t-0"))
+    runs = {}
+    for zero in ("0", "-0"):
+        out = tmp_path / f"out{zero}"
+        code, stdout, _ = run(capsys, "cluster", str(sample_log_path), "--taxonomy", str(tax),
+                              "--tau", zero, "--theta", zero, "--keep-singletons",
+                              "--out", str(out))
+        assert code == 0
+        runs[zero] = stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert runs["-0"] == runs["0"]
+    stdout, files = runs["-0"]
+    assert "  tau = 0.0\n" in stdout and "  theta = 0.0\n" in stdout
+    parameters = json.loads(files["report.json"])["parameters"]
+    assert [math.copysign(1.0, parameters[k]) for k in ("tau", "theta")] == [1.0, 1.0]
+    assert b"Top/Search  0.000000\n" in files["community-001.txt"]
+
+    out = tmp_path / "artificial"
+    code, stdout, _ = run(capsys, "cluster", str(sample_log_path), "--artificial",
+                          "--sigma", "-0", "--out", str(out))
+    assert code == 0
+    assert "  sigma = 0.0\n" in stdout
+
+
+def test_cluster_reports_a_failed_read_of_the_log(monkeypatch, tmp_path, capsys,
+                                                  sample_log_path, data_dir):
+    monkeypatch.setattr(clf, "open", lambda *args: UnreadableFile(), raising=False)
+    code, stdout, stderr = run(capsys, "cluster", str(sample_log_path),
+                               "--taxonomy", str(data_dir / "taxonomy.tsv"),
+                               "--out", str(tmp_path / "out"))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: cannot read {sample_log_path}: {os.strerror(errno.EIO)}\n"
 
 
 def test_taxonomy_add_duplicate_fails(capsys, tmp_path, data_dir):

@@ -25,6 +25,7 @@ from commdir.community import (
 from commdir.metrics import report_json
 from commdir.taxonomy import ROOT, ancestors, make_taxonomy
 from test_artificial import jaccard
+from test_taxonomy import children_map
 
 
 def vec(user, counts):
@@ -494,9 +495,9 @@ def test_directory_matches_full_scan_selection():
 
 
 def old_directory_text(cdir, tax):
-    """The renderers that walked the children map beside Taxonomy.walk, kept as
+    """The renderers that walked a children map beside Taxonomy.walk, kept as
     oracles: an explicit stack for the text, recursion for the document."""
-    selected, kids = cdir.selected, tax.children_map
+    selected, kids = cdir.selected, children_map(tax)
     lines, stack = [], [(ROOT, 0)] if selected else []
     while stack:
         path, d = stack.pop()
@@ -506,7 +507,7 @@ def old_directory_text(cdir, tax):
 
 
 def old_directory_tree(cdir, tax):
-    selected, kids = cdir.selected, tax.children_map
+    selected, kids = cdir.selected, children_map(tax)
 
     def node(path):
         return {"path": path, "score": selected[path],

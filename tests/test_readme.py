@@ -1,8 +1,9 @@
-"""README's Library section stays true.
+"""README's CLI and Library sections stay true.
 
-Its example runs on the sample log and taxonomy, every backticked name it
-uses is a ``commdir`` export or module (or an attribute of one), and every
-name its "Removed names" list gives is gone.
+The CLI example runs as written, from a directory holding the sample data.
+The Library example runs on the sample log and taxonomy, every backticked
+name that section uses is a ``commdir`` export or module (or an attribute of
+one), and every name its "Removed names" list gives is gone.
 """
 
 import dataclasses
@@ -10,22 +11,31 @@ import importlib
 import importlib.util
 import pathlib
 import re
+import shlex
 import shutil
 
 import commdir
+from commdir import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 _NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
 
 
-def library_section():
+def section(title):
     text = README.read_text(encoding="utf-8")
-    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def cli_commands():
+    """The commands of the CLI section's example, each split into words."""
+    block = re.search(r"```\n(.*?)```", section("CLI"), re.S).group(1)
+    lines = (shlex.split(line, comments=True) for line in block.replace("\\\n", "").splitlines())
+    return [words for words in lines if words]
 
 
 def removed_names():
     """The names each bullet of "Removed names" gives before its colon."""
-    removed = library_section().split("\n### Removed names\n", 1)[1]
+    removed = section("Library").split("\n### Removed names\n", 1)[1]
     bullets = re.split(r"\n- ", removed)[1:]
     return [name for b in bullets for name in _NAME.findall(re.split(r":\s", b, 1)[0])]
 
@@ -50,8 +60,21 @@ def exists(dotted):
     return hasattr(obj, attr) or attr in {f.name for f in fields}
 
 
+def test_cli_examples_run(tmp_path, monkeypatch, data_dir):
+    shutil.copytree(data_dir, tmp_path / "tests" / "data")
+    monkeypatch.chdir(tmp_path)
+    commands = cli_commands()
+    assert sum(words[0] == "commdir" for words in commands) == 7
+    for words in commands:
+        if words[0] == "cp":
+            shutil.copy(*words[1:])
+        else:
+            assert words[0] == "commdir"
+            assert cli.main(words[1:]) == 0, shlex.join(words)
+
+
 def test_library_example_runs(tmp_path, monkeypatch, data_dir):
-    code = re.search(r"```python\n(.*?)```", library_section(), re.S).group(1)
+    code = re.search(r"```python\n(.*?)```", section("Library"), re.S).group(1)
     shutil.copy(data_dir / "sample_access.log", tmp_path / "access.log")
     shutil.copy(data_dir / "taxonomy.tsv", tmp_path / "taxonomy.tsv")
     monkeypatch.chdir(tmp_path)
@@ -61,14 +84,14 @@ def test_library_example_runs(tmp_path, monkeypatch, data_dir):
 
 
 def test_library_names_exist():
-    names = set(_NAME.findall(library_section())) - set(removed_names())
+    names = set(_NAME.findall(section("Library"))) - set(removed_names())
     assert {"clf", "cli", "TaxonomyError", "Taxonomy.categories", "PageRef.site"} <= names
     assert [name for name in sorted(names) if not exists(name)] == []
 
 
 def test_removed_names_are_gone():
     removed = removed_names()
-    assert len(removed) == 12
+    assert len(removed) == 13
     for name in removed:
         assert not exists(name), name
         assert not hasattr(commdir, name.rpartition(".")[2]), name

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -91,6 +92,14 @@ def test_paths_deeper_than_max_depth_rejected():
         add_or_update_category(load_str("Top\n"), deep + "/c", ["k"])
 
 
+def test_negative_zero_weight_is_zero():
+    tax = load_str("Top/A\tx\t-0\n")
+    assert math.copysign(1.0, tax.categories["Top/A"].weight) == 1.0
+    assert serialize_taxonomy(tax) == "Top\nTop/A\tx\t0.0\n"
+    tax = make_taxonomy({"Top/A": ((), -0.0)})
+    assert math.copysign(1.0, tax.categories["Top/A"].weight) == 1.0
+
+
 def test_default_weights_are_depth_proportional():
     tax = load_str("Top/A/B/C\n")
     weights = {p: tax.categories[p].weight for p in tax}
@@ -180,21 +189,67 @@ def test_walk_is_depth_first_with_sorted_children():
     assert [d for _, d in tax.walk()] == [0, 1, 1, 2, 2]
 
 
+def test_walk_puts_a_subtree_before_siblings_that_sort_below_slash():
+    tax = load_str("Top/A.b\nTop/A-B\nTop/A B\nTop/A/x\n")
+    assert [p for p, _ in tax.walk()] == \
+        ["Top", "Top/A", "Top/A/x", "Top/A B", "Top/A-B", "Top/A.b"]
+
+
+# Segments with characters that sort below "/", for which preorder and
+# string order of the paths differ.
+_WALK_SEGMENTS = ("c0", "c1", "c2", "c3", "c0-", "c0 x", "c0.")
+
+
 def random_taxonomy(rng):
-    entries = {"/".join(["Top"] + [f"c{rng.randint(0, 3)}" for _ in range(rng.randint(1, 4))]):
-               ((), None) for _ in range(rng.randint(0, 20))}
+    entries = {"/".join(["Top"] + rng.choices(_WALK_SEGMENTS, k=rng.randint(1, 4))): ((), None)
+               for _ in range(rng.randint(0, 20))}
     return make_taxonomy(entries or {ROOT: ((), None)})
+
+
+def random_within(rng, tax):
+    """A random ancestor-closed subset of ``tax``."""
+    within = set()
+    for path in rng.sample(list(tax), rng.randint(0, len(tax))):
+        within.update(ancestors(path), [path])
+    return within
+
+
+def children_map(tax):
+    """Each path's children, sorted as strings."""
+    kids = {p: [] for p in tax}
+    for path in tax:
+        if parent(path) is not None:
+            kids[parent(path)].append(path)
+    return {p: sorted(c) for p, c in kids.items()}
+
+
+def old_walk(tax, within=None):
+    """The explicit-stack walk over a children map, kept as an oracle."""
+    kids = children_map(tax)
+    stack = [(ROOT, 0)] if within is None or ROOT in within else []
+    while stack:
+        path, d = stack.pop()
+        yield path, d
+        stack.extend((c, d + 1) for c in reversed(kids[path])
+                     if within is None or c in within)
 
 
 def test_walk_within_visits_only_an_ancestor_closed_subset():
     rng = random.Random(18)
     for _ in range(300):
         tax = random_taxonomy(rng)
-        within = set()
-        for path in rng.sample(list(tax), rng.randint(0, len(tax))):
-            within.update(ancestors(path), [path])
+        within = random_within(rng, tax)
         assert list(tax.walk(within)) == [e for e in tax.walk() if e[0] in within]
         assert list(tax.walk(set())) == []
+
+
+def test_walk_matches_old_stack_walk():
+    rng = random.Random(19)
+    for _ in range(400):
+        tax = random_taxonomy(rng)
+        assert list(tax.walk()) == list(old_walk(tax))
+        within = random_within(rng, tax)
+        assert list(tax.walk(within)) == list(old_walk(tax, within))
 
 
 def test_load_file_ignores_byte_order_mark(tmp_path):
