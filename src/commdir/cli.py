@@ -35,7 +35,8 @@ EXIT_USAGE = 1
 EXIT_EMPTY = 2
 EXIT_EXPLOSION = 3
 
-# The files of ``--out`` that a ``cluster`` run writes only for some inputs or flags.
+# The files of ``--out`` that a ``cluster`` run writes only for some inputs or flags,
+# and the per-community text trees that ``communities.txt`` replaced.
 _STALE_OUTPUT = re.compile(r"community-[0-9]{3,}\.(?:txt|json)\Z|artificial-taxonomy\.tsv\Z")
 
 
@@ -238,10 +239,14 @@ def cmd_cluster(args) -> int:
         atomic_write(os.path.join(args.out, name), text)
         written.add(name)
 
+    # One text file holds every text tree: creating a file per community took
+    # most of a run that finds hundreds of them.
+    blocks = []
     for i, cdir in enumerate(directories, 1):
-        write(f"community-{i:03d}.txt", community.directory_text(cdir, tax))
-        write(f"community-{i:03d}.json",
-              metrics.report_json(community.directory_doc(cdir, tax)))
+        stem = f"community-{i:03d}"
+        write(stem + ".json", metrics.report_json(community.directory_doc(cdir, tax)))
+        blocks.append(f"{stem}\n{community.directory_text(cdir, tax)}")
+    write("communities.txt", "\n".join(blocks))
     write("usage-vectors.tsv", classify_mod.usage_vectors_tsv(vectors))
     if args.artificial:
         write("artificial-taxonomy.tsv", taxonomy_mod.serialize_taxonomy(tax))

@@ -5,7 +5,9 @@ vectors, thresholded at tau); the dot products come from one pass over a
 category -> (user, count) inverted index, so above tau 0 only users who
 share a category are scored, since any other pair scores 0. Communities
 are the maximal cliques of that graph, enumerated with Bron-Kerbosch
-pivoting, so communities may overlap.
+pivoting, so communities may overlap. The search runs over twin classes,
+users with equal closed neighbourhoods, which always share their cliques:
+1,500 users with identical interests are one class and one search step.
 Each community's directory keeps the categories whose score, the product
 of a-priori category informativeness and the fraction of the community's
 hits falling inside the category's subtree, clears theta, plus all their
@@ -131,22 +133,56 @@ def build_graph(vectors: Iterable[UsageVector], tau: float = DEFAULT_TAU) -> Sim
     return SimilarityGraph(threshold_join(counts, _cosine, tau))
 
 
+def _twin_classes(adj: Mapping[str, set[str]]) -> dict[str, tuple[str, ...]]:
+    """Vertices grouped by equal closed neighbourhoods (``adj[v] | {v}``),
+    keyed by each class's first vertex in ``adj`` order.
+
+    Vertices are bucketed by degree and by the hash of their closed
+    neighbourhood, which is built for one vertex at a time and dropped, so
+    the grouping never holds a copy of every neighbourhood (quadratic on a
+    dense graph). A vertex joins a class in its bucket only once its
+    neighbourhood is checked equal to the class's. The adjacency must be
+    symmetric and loop-free, as ``build_graph``'s is.
+    """
+    classes: dict[str, list[str]] = {}
+    buckets: dict[tuple[int, int], list[str]] = {}
+    for v, nv in adj.items():
+        reps = buckets.setdefault((len(nv), hash(frozenset(nv | {v}))), [])
+        # Equal degrees, and r is v's only neighbour outside adj[r]: N[v] == N[r].
+        rep = next((r for r in reps if r in nv and nv - adj[r] == {r}), None)
+        if rep is None:
+            reps.append(v)
+            classes[v] = [v]
+        else:
+            classes[rep].append(v)
+    return {rep: tuple(twins) for rep, twins in classes.items()}
+
+
 def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,
                      keep_singletons: bool = False,
                      clique_cap: int = DEFAULT_CLIQUE_CAP) -> list[tuple[str, ...]]:
     """All maximal cliques of size >= min_size, as sorted member tuples.
 
-    Isolated vertices (maximal cliques of size 1) are included when
-    ``keep_singletons`` is set even if min_size is larger. Output is
-    canonically ordered, so it is independent of input and search order.
-    Raises ExplosionGuardError once more than ``clique_cap`` maximal cliques
-    exist.
+    Users with equal closed neighbourhoods (twins) lie in the same maximal
+    cliques, so the search runs over one representative per twin class and
+    expands each clique it finds into the classes' members; the maximal
+    cliques of this quotient graph are the graph's, one for one. A clique's
+    size is its expanded size: cliques of one user are included when
+    ``keep_singletons`` is set even if min_size is larger, and an isolated
+    class of two or more users is a clique of that size, not a singleton.
+    Output is canonically ordered, so it is independent of input and search
+    order. Raises ExplosionGuardError once more than ``clique_cap`` maximal
+    cliques exist.
     """
     adj = graph.adjacency
+    members = _twin_classes(adj)
     found = 0
     kept: list[tuple[str, ...]] = []
     # Bron-Kerbosch on an explicit stack of (R, P, X), free of the recursion limit.
-    stack = [((), set(adj), set())] if adj else []
+    # P and X only ever hold representatives, so the search reads adj only
+    # through them and runs on the quotient graph without building it; R
+    # holds the members of the classes it has taken.
+    stack = [((), set(members), set())] if members else []
     while stack:
         r, p, x = stack.pop()
         # Tomita's pivot maximizes |adj[u] & p|, but any pivot in P | X is
@@ -159,7 +195,7 @@ def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,
                 if n >= len(p) - 1:
                     break
         for v in p - adj[pivot]:
-            rv, pv, xv = r + (v,), p & adj[v], x & adj[v]
+            rv, pv, xv = r + members[v], p & adj[v], x & adj[v]
             p.remove(v)
             x.add(v)
             if pv:

@@ -255,7 +255,9 @@ def test_cluster_outputs_deterministic_and_order_free(tmp_path, capsys):
     random.Random(99).shuffle(shuffled)
     permuted = run_cluster(shuffled, "run3")
     assert permuted == first
-    assert {"community-001.txt", "community-002.txt",
+    assert {"community-001.json", "community-002.json", "communities.txt",
             "report.txt", "report.json"} <= set(first)
+    assert first["communities.txt"].startswith(b"community-001\nTop  ")
+    assert b"\n\ncommunity-002\nTop  " in first["communities.txt"]
     record_pass("determinism: byte-identical outputs across reruns and "
                 "input permutations")

@@ -1,4 +1,5 @@
 import errno
+import fnmatch
 import gzip
 import json
 import math
@@ -12,12 +13,18 @@ import sys
 import pytest
 
 from commdir import clf
-from commdir.cli import _policy_from_args, build_parser, main
-from commdir.taxonomy import MAX_DEPTH
+from commdir.classify import build_usage_vectors
+from commdir.cli import _policy_from_args, build_parser, main, read_records
+from commdir.community import (build_community_directory, build_graph, community_profile,
+                               directory_text, find_communities)
+from commdir.taxonomy import MAX_DEPTH, load_taxonomy
 from test_clf import UnreadableFile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
+
+# A small overlap-cliques workload: dozens of overlapping communities.
+SMALL_OVERLAP = {"users": 60, "areas": 2, "topics_per_area": 4, "hits_per_user": 40}
 
 
 def run(capsys, *argv):
@@ -168,8 +175,8 @@ def test_cluster_single_user_needs_singletons(tmp_path, capsys, sample_log_path,
                           "--keep-singletons", "--out", str(out2))
     assert code == 0
     assert "communities: 1" in stdout
-    tree = (out2 / "community-001.txt").read_text()
-    assert tree.startswith("Top  ")
+    tree = (out2 / "communities.txt").read_text()
+    assert tree.startswith("community-001\nTop  ")
     doc = json.loads((out2 / "community-001.json").read_text())
     assert doc["members"] == ["frank@127.0.0.1"]
     assert (out2 / "usage-vectors.tsv").exists()
@@ -291,8 +298,49 @@ def test_cluster_outputs_are_reproducible(tmp_path, capsys, sample_log_path, dat
         assert code == 0
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outs[0] == outs[1]
-    assert set(outs[0]) == {"community-001.json", "community-001.txt",
+    assert set(outs[0]) == {"community-001.json", "communities.txt",
                             "report.json", "report.txt", "usage-vectors.tsv"}
+
+
+def test_communities_txt_joins_each_communitys_stem_and_text_tree(tmp_path, capsys):
+    files, _ = gen.generate("overlap-cliques", 5, str(tmp_path / "in"), SMALL_OVERLAP)
+    tax = load_taxonomy(files["taxonomy"])
+    records, _ = read_records(files["log"])
+    vectors = build_usage_vectors(list(clf.filter_records(records, clf.DEFAULT_POLICY)), tax)
+    members = find_communities(build_graph(vectors, 0.4), keep_singletons=True)
+    assert len(members) > 20
+    # At theta 1 no category is selected, so each block is its stem alone.
+    for theta in (0.1, 1.0):
+        out = tmp_path / f"out-{theta}"
+        code, _, _ = run(capsys, "cluster", files["log"], "--taxonomy", files["taxonomy"],
+                         "--tau", "0.4", "--keep-singletons", "--theta", str(theta),
+                         "--out", str(out))
+        assert code == 0
+        stems = [f"community-{i:03d}" for i in range(1, len(members) + 1)]
+        trees = [directory_text(build_community_directory(tax, community_profile(m, vectors),
+                                                          theta), tax) for m in members]
+        assert (out / "communities.txt").read_bytes() == \
+            "\n".join(f"{stem}\n{tree}" for stem, tree in zip(stems, trees)).encode()
+        assert sorted(fnmatch.filter(os.listdir(out), "community-*")) == \
+            [f"{stem}.json" for stem in stems]
+        assert [json.loads((out / f"{stem}.json").read_text())["members"] for stem in stems] \
+            == [list(m) for m in members]
+
+
+def test_cluster_without_communities_writes_an_empty_communities_txt(tmp_path, capsys,
+                                                                    sample_log_path, data_dir):
+    # Also over a run that found one, so the file is never stale.
+    out = tmp_path / "out"
+    for flags, text in ((["--keep-singletons"], "community-001\nTop  "), ([], "")):
+        code, stdout, _ = run(capsys, "cluster", str(sample_log_path),
+                              "--taxonomy", str(data_dir / "taxonomy.tsv"),
+                              "--out", str(out), *flags)
+        assert code == 0
+        assert (out / "communities.txt").read_text().startswith(text)
+    assert "communities: 0" in stdout
+    assert (out / "communities.txt").read_bytes() == b""
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["communities.txt", "report.json", "report.txt", "usage-vectors.tsv"]
 
 
 # A first and a second run's flags; the first writes files the second does not.
@@ -318,19 +366,19 @@ def test_cluster_rerun_into_used_out_writes_what_a_fresh_run_does(case, tmp_path
     fresh = cluster(second, tmp_path / "fresh")
     assert before.keys() - fresh.keys()
     # Files that are no cluster output stay, whatever their name, also one
-    # numbered in Arabic-Indic digits; a stale ASCII-numbered one goes.
+    # numbered in Arabic-Indic digits; a stale ASCII-numbered one goes, as do
+    # the per-community text trees that communities.txt replaced.
     mine = {"notes.txt": b"mine\n", "community-01.txt": b"mine\n", "community-001.tsv": b"x",
             "community-\u0661\u0662\u0663.txt": b"mine\n"}
-    for name, data in {**mine, "community-123.txt": b"stale\n"}.items():
+    stale = {"community-001.txt": b"Top  1.000000\n", "community-123.txt": b"stale\n"}
+    for name, data in {**mine, **stale}.items():
         (used / name).write_bytes(data)
     assert cluster(second, used) == {**fresh, **mine}
 
 
 def test_cluster_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # Several stages iterate sets, whose order follows PYTHONHASHSEED.
-    files, _ = gen.generate("overlap-cliques", 5, str(tmp_path / "in"),
-                            {"users": 60, "areas": 2, "topics_per_area": 4,
-                             "hits_per_user": 40})
+    files, _ = gen.generate("overlap-cliques", 5, str(tmp_path / "in"), SMALL_OVERLAP)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     for mode in (["--taxonomy", files["taxonomy"], "--tau", "0.4", "--keep-singletons"],
                  ["--artificial", "--tau", "0.4"]):
@@ -343,7 +391,8 @@ def test_cluster_outputs_do_not_depend_on_the_hash_seed(tmp_path):
                            env=env, check=True, stdout=subprocess.DEVNULL)
             trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert trees[0] == trees[1]
-        assert len(trees[0]) > 100  # dozens of overlapping communities
+        # dozens of overlapping communities
+        assert len(fnmatch.filter(trees[0], "community-*.json")) > 50
 
 
 def test_taxonomy_show(capsys, tmp_path, data_dir):
@@ -441,7 +490,9 @@ def test_cluster_negative_zero_flags_and_weights_are_zero(tmp_path, capsys, samp
     assert "  tau = 0.0\n" in stdout and "  theta = 0.0\n" in stdout
     parameters = json.loads(files["report.json"])["parameters"]
     assert [math.copysign(1.0, parameters[k]) for k in ("tau", "theta")] == [1.0, 1.0]
-    assert b"Top/Search  0.000000\n" in files["community-001.txt"]
+    stem, tree = files["communities.txt"].split(b"\n", 1)
+    assert stem == b"community-001"
+    assert b"Top/Search  0.000000\n" in tree
 
     out = tmp_path / "artificial"
     code, stdout, _ = run(capsys, "cluster", str(sample_log_path), "--artificial",

@@ -193,29 +193,94 @@ def max_pivot_cliques(graph):
     return found
 
 
+def assert_matches_max_pivot_search(g):
+    found = max_pivot_cliques(g)
+    for min_size in (1, 2, 3):
+        for keep_singletons in (False, True):
+            kept = [c for c in found
+                    if len(c) >= min_size or (keep_singletons and len(c) == 1)]
+            assert find_communities(g, min_size, keep_singletons) == \
+                sorted(tuple(sorted(c)) for c in kept)
+
+
+def random_edges(rng, vertices):
+    p = rng.choice([0.05, 0.2, 0.5, 0.7])
+    return [e for e in itertools.combinations(vertices, 2) if rng.random() < p]
+
+
 def test_cliques_match_max_pivot_search_on_random_graphs():
     rng = random.Random(77)
     for _ in range(300):
-        n = rng.randint(0, 40)
-        vertices = [f"v{i:02d}" for i in range(n)]
-        p = rng.choice([0.05, 0.2, 0.5, 0.7])
-        edges = [e for e in itertools.combinations(vertices, 2) if rng.random() < p]
-        g = graph_from_edges(vertices, edges)
-        found = max_pivot_cliques(g)
-        for min_size in (1, 2, 3):
-            for keep_singletons in (False, True):
-                kept = [c for c in found
-                        if len(c) >= min_size or (keep_singletons and len(c) == 1)]
-                assert find_communities(g, min_size, keep_singletons) == \
-                    sorted(tuple(sorted(c)) for c in kept)
+        vertices = [f"v{i:02d}" for i in range(rng.randint(0, 40))]
+        assert_matches_max_pivot_search(graph_from_edges(vertices, random_edges(rng, vertices)))
+
+
+def blow_up(vertices, edges, twins):
+    """Each vertex v becomes a clique of ``twins[v]`` twins, joined to the
+    twins of v's neighbours: (vertices, edges, the twins of each vertex)."""
+    of = {v: [f"{v}.{k}" for k in range(twins[v])] for v in vertices}
+    inside = [e for v in vertices for e in itertools.combinations(of[v], 2)]
+    across = [(a, b) for u, v in edges for a in of[u] for b in of[v]]
+    return [t for v in vertices for t in of[v]], inside + across, of
+
+
+def test_cliques_match_max_pivot_search_on_blown_up_random_graphs():
+    # Twins share every maximal clique, so the search over twin classes must
+    # find each clique whole, with its expanded size for min_size and
+    # keep_singletons; a maximal clique of the base graph becomes one.
+    rng = random.Random(2026)
+    for _ in range(150):
+        vertices = [f"v{i:02d}" for i in range(rng.randint(0, 14))]
+        edges = random_edges(rng, vertices)
+        blown, blown_edges, of = blow_up(vertices, edges,
+                                         {v: rng.randint(1, 4) for v in vertices})
+        g = graph_from_edges(blown, blown_edges)
+        assert_matches_max_pivot_search(g)
+        base = find_communities(graph_from_edges(vertices, edges), min_size=1)
+        assert find_communities(g, min_size=1) == \
+            sorted(tuple(sorted(t for v in c for t in of[v])) for c in base)
+
+
+class Colliding(str):
+    """A vertex name whose hash is every other's: twin grouping must not
+    take a shared hash for a shared neighbourhood."""
+
+    def __hash__(self):
+        return 0
+
+
+def test_twin_classes_are_checked_not_assumed_from_hashes():
+    rng = random.Random(5)
+    for _ in range(60):
+        vertices = [Colliding(f"v{i:02d}") for i in range(rng.randint(0, 12))]
+        edges = random_edges(rng, vertices)
+        blown, blown_edges, _ = blow_up(vertices, edges, {v: rng.randint(1, 3) for v in vertices})
+        for vs, es in ((vertices, edges), (list(map(Colliding, blown)),
+                                           [tuple(map(Colliding, e)) for e in blown_edges])):
+            assert_matches_max_pivot_search(graph_from_edges(vs, es))
+
+
+def test_isolated_twin_class_is_a_community_not_a_singleton():
+    # a and b are twins with no other neighbour: one class of two. c is alone.
+    g = graph_from_edges("abc", [("a", "b")])
+    assert find_communities(g) == [("a", "b")]
+    assert find_communities(g, min_size=3, keep_singletons=True) == [("c",)]
+    g = graph_from_edges("abcd", [("a", "b"), ("a", "c"), ("b", "c")])
+    assert find_communities(g, min_size=3) == [("a", "b", "c")]
+    assert find_communities(g, min_size=4, keep_singletons=True) == [("d",)]
+
+
+def moon_moser(groups):
+    """Complete multipartite graph of ``groups`` groups of 3: 3**groups maximal cliques."""
+    vertices = [f"g{i}-{j}" for i in range(groups) for j in range(3)]
+    edges = [(a, b) for a, b in itertools.combinations(vertices, 2)
+             if a.split("-")[0] != b.split("-")[0]]
+    return vertices, edges
 
 
 def test_clique_guard_trips_in_bounded_memory():
     # Moon-Moser graph, 9 groups of 3: 3**9 = 19,683 maximal cliques of 9.
-    vertices = [f"g{i}-{j}" for i in range(9) for j in range(3)]
-    edges = [(a, b) for a, b in itertools.combinations(vertices, 2)
-             if a.split("-")[0] != b.split("-")[0]]
-    g = graph_from_edges(vertices, edges)
+    g = graph_from_edges(*moon_moser(9))
     for min_size, keep_singletons in ((1, False), (2, True), (10, False)):
         tracemalloc.start()
         try:
@@ -228,6 +293,20 @@ def test_clique_guard_trips_in_bounded_memory():
         # frozensets they took 3.7 MB.
         assert peak < 2_000_000
     assert len(find_communities(g, clique_cap=3 ** 9)) == 3 ** 9
+
+
+@pytest.mark.parametrize("groups", [3, 9])
+def test_clique_guard_trips_at_the_same_cap_on_a_blown_up_graph(groups):
+    # Twin classes are counted once, so the guard counts maximal cliques,
+    # not their members.
+    vertices, edges = moon_moser(groups)
+    rng = random.Random(groups)
+    blown, blown_edges, _ = blow_up(vertices, edges, {v: rng.randint(1, 4) for v in vertices})
+    assert len(blown) > len(vertices)
+    for g in (graph_from_edges(vertices, edges), graph_from_edges(blown, blown_edges)):
+        with pytest.raises(ExplosionGuardError):
+            find_communities(g, min_size=1, clique_cap=3 ** groups - 1)
+        assert len(find_communities(g, min_size=1, clique_cap=3 ** groups)) == 3 ** groups
 
 
 def test_identical_users_form_one_community_quickly():

@@ -4,7 +4,9 @@
 ``cli._policy_from_args`` and ``cli.build_parser``; this runs it in-process
 on a small workload so that renaming any of them fails here, and compares
 its ``--out`` tree with the one ``commdir cluster`` writes, so that a change
-to ``cmd_cluster`` not copied into the traced run fails here too.
+to ``cmd_cluster`` not copied into the traced run fails here too. The traced
+run writes one text tree per community, which the CLI joins into
+``communities.txt``; the test joins them the same way.
 """
 
 import json
@@ -54,8 +56,12 @@ def test_traced_run_writes_what_the_cli_writes(tmp_path, capsys):
                      "--out", str(cli_out),
                      *gen.WORKLOADS["overlap-cliques"].cluster_flags]) == 0
     capsys.readouterr()
-    names = sorted(p.name for p in out.iterdir())
-    assert names == sorted(p.name for p in cli_out.iterdir())
+    trees = sorted(out.glob("community-*.txt"))
+    assert trees
+    assert b"\n".join(p.stem.encode() + b"\n" + p.read_bytes() for p in trees) == \
+        (cli_out / "communities.txt").read_bytes()
+    names = sorted(p.name for p in out.iterdir() if p not in trees)
+    assert names == sorted(p.name for p in cli_out.iterdir() if p.name != "communities.txt")
     for name in names:
         if name != "report.json":
             assert (out / name).read_bytes() == (cli_out / name).read_bytes(), name
