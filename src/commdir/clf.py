@@ -3,9 +3,10 @@
 Streaming parser for proxy/web-server access logs in CLF
 (``host ident authuser [date] "request" status bytes``), with per-line
 error recovery: a bad line yields a typed error value instead of aborting
-the file. Also provides the inverse serializer, whose canonical line
-parses back to the same record, a gzip-aware file opener and a
-method/status filter for restricting records to page fetches worth mining.
+the file. A record keeps its date as the checked text it was logged as.
+Also provides the inverse serializer, whose line parses back to the same
+record, a gzip-aware file opener and a method/status filter for
+restricting records to page fetches worth mining.
 
 All functions here are pure and safe for concurrent use.
 """
@@ -46,7 +47,7 @@ class LogRecord:
     host: str
     ident: str | None
     authuser: str | None
-    timestamp: datetime  # carries the logged UTC offset, never normalized
+    timestamp: str  # as logged, UTC offset included; parse_timestamp converts it
     method: str
     resource: str
     protocol: str
@@ -127,8 +128,6 @@ _TOKEN_RE = re.compile(r'(\[[^\]]*\]|"' + _REQUEST + r'"|([\["]).*|[^ \t]+)', re
 _UNESCAPED_SPACE_RE = re.compile(r"(?<!\\) ")
 
 
-# Access logs repeat timestamps heavily (many hits per second).
-@functools.lru_cache(maxsize=8192)
 def parse_timestamp(s: str) -> datetime | None:
     """Parse ``dd/Mon/yyyy:HH:MM:SS ±hhmm``, offset -2359 to +2359; None when malformed."""
     m = _DATE_RE.fullmatch(s)
@@ -143,17 +142,12 @@ def parse_timestamp(s: str) -> datetime | None:
         return None
 
 
-def format_timestamp(ts: datetime) -> str:
-    """Inverse of parse_timestamp; requires an aware datetime."""
-    offset = ts.utcoffset()
-    if offset is None:
-        raise ValueError("timestamp must be timezone-aware")
-    minutes = int(offset.total_seconds()) // 60
-    sign = "-" if minutes < 0 else "+"
-    minutes = abs(minutes)
-    return (f"{ts.day:02d}/{_MONTH_NAME[ts.month - 1]}/{ts.year:04d}"
-            f":{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}"
-            f" {sign}{minutes // 60:02d}{minutes % 60:02d}")
+# Access logs repeat dates heavily (many hits per second), so the records of
+# one date share the text the cache returns.
+@functools.lru_cache(maxsize=8192)
+def _checked_date(s: str) -> str | None:
+    """``s`` when parse_timestamp accepts it, else None."""
+    return s if parse_timestamp(s) is not None else None
 
 
 def _build(host: str, ident: str, authuser: str, datestr: str,
@@ -161,8 +155,8 @@ def _build(host: str, ident: str, authuser: str, datestr: str,
            line: str) -> LogRecord | ParseError:
     # Validation order matches field order so the reported reason is the
     # first failing field: date, request, status, bytes.
-    ts = parse_timestamp(datestr)
-    if ts is None:
+    date = _checked_date(datestr)
+    if date is None:
         return ParseError(ParseReason.MALFORMED_DATE, line)
     if "\t" in request:  # a raw tab separates CLF fields, never the parts of a request
         return ParseError(ParseReason.MALFORMED_REQUEST, line)
@@ -186,7 +180,7 @@ def _build(host: str, ident: str, authuser: str, datestr: str,
     return LogRecord(host,
                      None if ident == "-" else ident,
                      None if authuser == "-" else authuser,
-                     ts, req_tokens[0], req_tokens[1], req_tokens[2],
+                     date, req_tokens[0], req_tokens[1], req_tokens[2],
                      status, nbytes)
 
 
@@ -256,7 +250,7 @@ def filter_records(records: Iterable[LogRecord],
 def format_record(rec: LogRecord) -> str:
     """Serialize back to a CLF line, with "-" for absent optional fields."""
     return (f"{rec.host} {rec.ident or '-'} {rec.authuser or '-'}"
-            f" [{format_timestamp(rec.timestamp)}]"
+            f" [{rec.timestamp}]"
             f' "{rec.method} {rec.resource} {rec.protocol}"'
             f" {rec.status} {'-' if rec.bytes is None else rec.bytes}")
 

@@ -8,8 +8,8 @@ equal inputs and flags, and files are written atomically.
 
 Exit codes: 0 success, 1 usage or input error, 2 no records parsed (for
 ``sites`` and ``cluster``: none left to mine), 3 clique explosion guard
-tripped. ``main`` reports every failure, ``sites`` and ``cluster`` having
-no records to mine included, as one ``error:`` line on stderr.
+tripped. ``main`` reports every failure, no records to parse or mine
+included, as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -168,10 +168,13 @@ def cmd_parse(args) -> int:
         for record in _read_log(args.log, errors):
             records += 1
             out.write(clf.format_record(record) + "\n")
+        if not records:  # raised in the block, so no --out file is left
+            raise NoRecordsError(f"no records parsed: {sum(errors.values())} lines read, "
+                                 f"{_by_reason(errors, 'rejected')}")
     lines = records + sum(errors.values())
     summary = f"{lines} lines, {records} records, {_by_reason(errors, 'errors')}"
     print(summary, file=sys.stderr if not args.out else sys.stdout)
-    return EXIT_OK if records else EXIT_EMPTY
+    return EXIT_OK
 
 
 def cmd_sites(args) -> int:

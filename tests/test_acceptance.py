@@ -12,8 +12,7 @@ import time
 
 
 from commdir.classify import UNSPECIFIED, build_usage_vectors
-from commdir.clf import (LogRecord, format_record, format_timestamp, open_log, parse_line,
-                         parse_stream)
+from commdir.clf import LogRecord, format_record, open_log, parse_line, parse_stream
 from commdir.cli import main as cli_main
 from commdir.community import (
     SimilarityGraph,
@@ -52,7 +51,7 @@ def test_golden_parse_of_sample_log(sample_log_path, data_dir):
     for outcome, row in zip(outcomes, golden_rows):
         rec = outcome.result
         fields = [rec.host, rec.ident or "-", rec.authuser or "-",
-                  format_timestamp(rec.timestamp), rec.method, rec.resource, rec.protocol,
+                  rec.timestamp, rec.method, rec.resource, rec.protocol,
                   str(rec.status), "-" if rec.bytes is None else str(rec.bytes)]
         assert fields == row
     assert elapsed < 1.0

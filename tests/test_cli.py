@@ -69,9 +69,18 @@ def test_parse_writes_back_the_bytes_it_read(tmp_path, capfdbinary, sample_log_p
 def test_parse_empty_file_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.log"
     empty.write_text("")
-    code, stdout, _ = run(capsys, "parse", str(empty), "--out", str(tmp_path / "r.log"))
+    code, stdout, stderr = run(capsys, "parse", str(empty), "--out", str(tmp_path / "r.log"))
     assert code == 2
-    assert "0 records" in stdout
+    assert (stdout, stderr) == ("", "error: no records parsed: 0 lines read, 0 rejected\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.log"]
+    garbage = tmp_path / "garbage.log"
+    garbage.write_text("@@@ garbage @@@\nh - - [bad] \"GET / HTTP/1.0\" 200 -\n")
+    for out in (("--out", str(tmp_path / "g.out")), ()):
+        code, stdout, stderr = run(capsys, "parse", str(garbage), *out)
+        assert code == 2
+        assert (stdout, stderr) == ("", "error: no records parsed: 2 lines read, 2 rejected"
+                                        " (FieldCountMismatch: 1, MalformedDate: 1)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.log", "garbage.log"]
 
 
 def test_parse_counts_errors_by_reason(tmp_path, capsys, sample_log_path):

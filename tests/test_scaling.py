@@ -1,0 +1,101 @@
+"""Scaling gates: the community back end grows with its output, not with users squared.
+
+The benchmark's overlap-cliques workload is built at 300, 600 and 1,200
+users. Its users fall into the same 105 twin classes at every scale, so the
+graph has the same 470 maximal cliques and the report the same 9,660
+overlap triples; only the membership of those cliques grows with the users.
+Adjacency reads in ``find_communities`` must then grow no faster than the
+membership, and the traced peak of ``build_report``, which holds a row per
+membership and the triples, no faster than the two together.
+"""
+
+import pathlib
+import sys
+import tracemalloc
+
+import pytest
+
+from commdir.classify import build_usage_vectors
+from commdir.cli import read_records
+from commdir.clf import filter_records
+from commdir.community import (DEFAULT_THETA, SimilarityGraph, _twin_classes,
+                               build_community_directory, build_graph, community_profile,
+                               find_communities)
+from commdir.metrics import build_report
+from commdir.taxonomy import load_taxonomy
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
+
+SCALES = (300, 600, 1_200)
+# A measured figure may grow up to 25% faster than its bound before a gate
+# fails. Measured growth from 300 to 1,200 users: adjacency reads 1.15x
+# (about 6,300 -> 7,250; pivot choices follow the hash seed) against
+# membership 4x, and the report peak 1.11x (2.54 -> 2.83 MB) against
+# membership plus triples 1.95x. A search over users instead of twin
+# classes reads 3.4x as much at 600 users, against a 2.5x gate.
+SLACK = 1.25
+
+
+class CountingDict(dict):
+    """A dict that counts the values read from it by key."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def measure(directory, users):
+    """Counts and costs of the community back end on overlap-cliques at ``users``."""
+    wl = gen.WORKLOADS["overlap-cliques"]
+    files, _ = gen.generate(wl.name, 1, str(directory), {"users": users})
+    flags = wl.cluster_flags
+    tau = float(flags[flags.index("--tau") + 1])
+    tax = load_taxonomy(files["taxonomy"])
+    vectors = build_usage_vectors(list(filter_records(read_records(files["log"])[0])), tax)
+    adjacency = CountingDict(build_graph(vectors, tau).adjacency)
+    classes = len(_twin_classes(adjacency))
+    adjacency.reads = 0
+    cliques = find_communities(SimilarityGraph(adjacency), keep_singletons=True)
+    directories = [build_community_directory(tax, community_profile(m, vectors), DEFAULT_THETA)
+                   for m in cliques]
+    tracemalloc.start()
+    try:
+        report = build_report(tax, directories, vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"classes": classes, "cliques": len(cliques),
+            "members": sum(map(len, cliques)), "triples": len(report["overlap"]),
+            "reads": adjacency.reads, "peak": peak}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    return {n: measure(tmp_path_factory.mktemp(f"overlap-{n}"), n) for n in SCALES}
+
+
+def growth(runs, figure):
+    """``figure(run)`` at each scale over its value at the smallest."""
+    values = [figure(runs[n]) for n in SCALES]
+    return [v / values[0] for v in values]
+
+
+def test_output_shape_is_fixed_while_membership_grows(runs):
+    assert [(runs[n]["classes"], runs[n]["cliques"], runs[n]["triples"]) for n in SCALES] \
+        == [(105, 470, 9_660)] * len(SCALES)
+    assert [runs[n]["members"] for n in SCALES] == [15 * n for n in SCALES]
+
+
+def test_clique_search_reads_grow_no_faster_than_membership(runs):
+    bound = growth(runs, lambda run: run["members"])
+    for n, reads, limit in zip(SCALES, growth(runs, lambda run: run["reads"]), bound):
+        assert reads <= SLACK * limit, (n, runs[n]["reads"])
+
+
+def test_report_peak_grows_no_faster_than_membership_plus_triples(runs):
+    bound = growth(runs, lambda run: run["members"] + run["triples"])
+    for n, peak, limit in zip(SCALES, growth(runs, lambda run: run["peak"]), bound):
+        assert peak <= SLACK * limit, (n, runs[n]["peak"])
