@@ -85,9 +85,9 @@ def cluster_sites(profiles: Sequence[SiteProfile], sigma: float = DEFAULT_SIGMA)
     return sorted(clusters)
 
 
-def _top_tokens(tokens: Counter, n: int = _KEYWORDS_PER_CATEGORY) -> tuple[str, ...]:
+def _top_tokens(tokens: Counter) -> tuple[str, ...]:
     ranked = sorted(tokens.items(), key=lambda kv: (-kv[1], kv[0]))
-    return tuple(tok for tok, _ in ranked[:n])
+    return tuple(tok for tok, _ in ranked[:_KEYWORDS_PER_CATEGORY])
 
 
 def build_artificial_directory(partition: Sequence[Sequence[str]],

@@ -58,14 +58,12 @@ class LogRecord:
 @dataclass(slots=True)
 class ParseError:
     reason: ParseReason
-    raw_line: str
 
 
 @dataclass(slots=True)
 class ParseOutcome:
-    """Result for one physical log line: a record or the error that rejected it."""
+    """Result for one non-blank log line: a record or the error that rejected it."""
 
-    line_number: int
     result: LogRecord | ParseError
 
     @property
@@ -151,32 +149,31 @@ def _checked_date(s: str) -> str | None:
 
 
 def _build(host: str, ident: str, authuser: str, datestr: str,
-           request: str, status_s: str, bytes_s: str,
-           line: str) -> LogRecord | ParseError:
+           request: str, status_s: str, bytes_s: str) -> LogRecord | ParseError:
     # Validation order matches field order so the reported reason is the
     # first failing field: date, request, status, bytes.
     date = _checked_date(datestr)
     if date is None:
-        return ParseError(ParseReason.MALFORMED_DATE, line)
+        return ParseError(ParseReason.MALFORMED_DATE)
     if "\t" in request:  # a raw tab separates CLF fields, never the parts of a request
-        return ParseError(ParseReason.MALFORMED_REQUEST, line)
+        return ParseError(ParseReason.MALFORMED_REQUEST)
     # Without a backslash no space is escaped, so str.split gives the regex's
     # parts; splitting every request with the regex made parse_stream ~25% slower.
     req_tokens = (_UNESCAPED_SPACE_RE.split(request) if "\\" in request
                   else request.split(" "))
     if len(req_tokens) != 3 or not (req_tokens[0] and req_tokens[1] and req_tokens[2]):
-        return ParseError(ParseReason.MALFORMED_REQUEST, line)
+        return ParseError(ParseReason.MALFORMED_REQUEST)
     if not (status_s.isascii() and status_s.isdigit()):
-        return ParseError(ParseReason.BAD_STATUS, line)
+        return ParseError(ParseReason.BAD_STATUS)
     status = int(status_s)
     if not 100 <= status <= 599:
-        return ParseError(ParseReason.BAD_STATUS, line)
+        return ParseError(ParseReason.BAD_STATUS)
     if bytes_s == "-":
         nbytes = None
     elif bytes_s.isascii() and bytes_s.isdigit():
         nbytes = int(bytes_s)
     else:
-        return ParseError(ParseReason.BAD_BYTES, line)
+        return ParseError(ParseReason.BAD_BYTES)
     return LogRecord(host,
                      None if ident == "-" else ident,
                      None if authuser == "-" else authuser,
@@ -190,39 +187,39 @@ def _diagnose(line: str) -> ParseError:
     if matches and matches[-1][1]:
         reason = ParseReason.MALFORMED_DATE if matches[-1][1] == "[" \
             else ParseReason.MALFORMED_REQUEST
-        return ParseError(reason, line)
+        return ParseError(reason)
     tokens = [token for token, _ in matches]
     if len(tokens) != 7:
-        return ParseError(ParseReason.FIELD_COUNT_MISMATCH, line)
+        return ParseError(ParseReason.FIELD_COUNT_MISMATCH)
     if tokens[3][:1] != "[" or tokens[3][-1:] != "]":
-        return ParseError(ParseReason.MALFORMED_DATE, line)
+        return ParseError(ParseReason.MALFORMED_DATE)
     if len(tokens[4]) < 2 or tokens[4][0] != '"' or tokens[4][-1] != '"':
-        return ParseError(ParseReason.MALFORMED_REQUEST, line)
+        return ParseError(ParseReason.MALFORMED_REQUEST)
     result = _build(tokens[0], tokens[1], tokens[2], tokens[3][1:-1],
-                    tokens[4][1:-1], tokens[5], tokens[6], line)
+                    tokens[4][1:-1], tokens[5], tokens[6])
     if type(result) is LogRecord:
         # Seven well-formed fields that _LINE_RE still rejects, such as a
         # line with leading blanks or a quoted host: not a CLF line.
-        return ParseError(ParseReason.FIELD_COUNT_MISMATCH, line)
+        return ParseError(ParseReason.FIELD_COUNT_MISMATCH)
     return result
 
 
 def parse_line(line: str) -> LogRecord | ParseError:
     """Parse one physical CLF line (no trailing newline)."""
     if len(line) > MAX_LINE_BYTES:
-        return ParseError(ParseReason.FIELD_COUNT_MISMATCH, line)
+        return ParseError(ParseReason.FIELD_COUNT_MISMATCH)
     m = _LINE_RE.match(line)
     if m is None:
         return _diagnose(line)
-    return _build(*m.groups(), line)
+    return _build(*m.groups())
 
 
 def parse_stream(source: Iterable[str]) -> Iterator[ParseOutcome]:
-    """One ParseOutcome per non-empty line, in file order; blank lines skipped.
+    """One ParseOutcome per non-blank line, in file order; blank lines skipped.
 
-    Line numbers count physical lines. A failing source (I/O error, truncated
-    or corrupt gzip) raises LogStreamError with the last line read. Chunked
-    inputs may be parsed independently and re-merged by line number.
+    A failing source (I/O error, truncated or corrupt gzip) raises
+    LogStreamError with the number of the last line read, counting every
+    physical line, blank ones included.
     """
     lineno = 0
     try:
@@ -232,7 +229,7 @@ def parse_stream(source: Iterable[str]) -> Iterator[ParseOutcome]:
                 line = line[:-1]
             if not line or line.isspace():
                 continue
-            yield ParseOutcome(lineno, parse_line(line))
+            yield ParseOutcome(parse_line(line))
     except (OSError, EOFError, zlib.error) as exc:
         raise LogStreamError(lineno, str(exc)) from exc
 

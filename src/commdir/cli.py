@@ -284,12 +284,16 @@ def cmd_taxonomy(args) -> int:
         for line in _show_taxonomy(tax):
             print(line)
         return EXIT_OK
-    keywords = [k.strip() for k in (args.keywords or "").split(",") if k.strip()]
-    if args.action == "add" and args.path in tax:
+    cat = tax.categories.get(args.path)
+    if args.action == "add" and cat is not None:
         raise ValueError(f"duplicate path: {args.path!r} already exists (use update)")
-    if args.action == "update" and args.path not in tax:
+    if args.action == "update" and cat is None:
         raise ValueError(f"unknown path: {args.path!r} (use add)")
-    tax = taxonomy_mod.add_or_update_category(tax, args.path, keywords, args.weight)
+    # A flag that update leaves out keeps the category's value, a depth default too.
+    keywords = (cat.keywords if cat and args.keywords is None
+                else [k.strip() for k in (args.keywords or "").split(",") if k.strip()])
+    weight = cat.weight if cat and cat.explicit_weight and args.weight is None else args.weight
+    tax = taxonomy_mod.add_or_update_category(tax, args.path, keywords, weight)
     atomic_write(args.file, taxonomy_mod.serialize_taxonomy(tax))
     done = "added" if args.action == "add" else "updated"
     print(f"{done} {args.path} ({len(tax)} categories)")
@@ -363,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["add", "update", "show"])
     p.add_argument("file", help="taxonomy file")
     p.add_argument("path", nargs="?", help="category path (add/update)")
-    p.add_argument("--keywords", help="comma-separated keywords")
+    p.add_argument("--keywords", help="comma-separated keywords (update: omitted = kept)")
     p.add_argument("--weight", type=float,
-                   help="explicit weight in [0,1]; omitted = depth default")
+                   help="explicit weight in [0,1]; omitted = depth default (update: kept)")
     p.set_defaults(func=cmd_taxonomy)
 
     return parser

@@ -28,16 +28,14 @@ from .taxonomy import ROOT, Taxonomy, ancestors, parent
 DEFAULT_TAU = 0.5
 DEFAULT_THETA = 0.1
 DEFAULT_MIN_SIZE = 2
-DEFAULT_CLIQUE_CAP = 1_000_000
+CLIQUE_CAP = 1_000_000
 
 
 class ExplosionGuardError(RuntimeError):
-    """More maximal cliques than the cap allows. The CLI keeps the default cap;
-    library callers can raise it through ``find_communities``'s ``clique_cap``."""
+    """More maximal cliques than ``CLIQUE_CAP``, which library callers may reassign."""
 
     def __init__(self, cap: int):
         super().__init__(f"more than {cap} maximal cliques; raise tau")
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -159,8 +157,7 @@ def _twin_classes(adj: Mapping[str, set[str]]) -> dict[str, tuple[str, ...]]:
 
 
 def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,
-                     keep_singletons: bool = False,
-                     clique_cap: int = DEFAULT_CLIQUE_CAP) -> list[tuple[str, ...]]:
+                     keep_singletons: bool = False) -> list[tuple[str, ...]]:
     """All maximal cliques of size >= min_size, as sorted member tuples.
 
     Users with equal closed neighbourhoods (twins) lie in the same maximal
@@ -171,7 +168,7 @@ def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,
     ``keep_singletons`` is set even if min_size is larger, and an isolated
     class of two or more users is a clique of that size, not a singleton.
     Output is canonically ordered, so it is independent of input and search
-    order. Raises ExplosionGuardError once more than ``clique_cap`` maximal
+    order. Raises ExplosionGuardError once more than ``CLIQUE_CAP`` maximal
     cliques exist.
     """
     adj = graph.adjacency
@@ -202,8 +199,8 @@ def find_communities(graph: SimilarityGraph, min_size: int = DEFAULT_MIN_SIZE,
                 stack.append((rv, pv, xv))
             elif not xv:
                 found += 1
-                if found > clique_cap:
-                    raise ExplosionGuardError(clique_cap)
+                if found > CLIQUE_CAP:
+                    raise ExplosionGuardError(CLIQUE_CAP)
                 if len(rv) >= min_size or (keep_singletons and len(rv) == 1):
                     kept.append(tuple(sorted(rv)))
     return sorted(kept)

@@ -106,7 +106,6 @@ def test_error_reasons(line, reason):
     err = parse_line(line)
     assert isinstance(err, ParseError)
     assert err.reason is reason
-    assert err.raw_line == line
 
 
 def test_doubled_separator_does_not_change_the_outcome():
@@ -150,7 +149,7 @@ _OLD_TOKEN_RE = re.compile(r'(\[[^\]]*\]|"(?:[^"\\]|\\.)*"|([\["]).*|[^ \t]+)', 
 def fast_path_then_regex(line, took_fast_path):
     """parse_line as it was: a split(" ") fast path, then the general regex."""
     if len(line) > MAX_LINE_BYTES:
-        return ParseError(ParseReason.FIELD_COUNT_MISMATCH, line)
+        return ParseError(ParseReason.FIELD_COUNT_MISMATCH)
     if "\\" not in line and "\t" not in line and line.count('"') == 2:
         parts = line.split(" ")
         if (len(parts) == 10
@@ -163,12 +162,12 @@ def fast_path_then_regex(line, took_fast_path):
             return clf._build(parts[0], parts[1], parts[2],
                               parts[3][1:] + " " + parts[4][:-1],
                               parts[5][1:] + " " + parts[6] + " " + parts[7][:-1],
-                              parts[8], parts[9], line)
+                              parts[8], parts[9])
     m = _OLD_LINE_RE.match(line)
     if m is None:
         return clf._diagnose(line)
     host, ident, authuser, datestr, request, status_s, bytes_s = m.groups()
-    return clf._build(host, ident, authuser, datestr, request, status_s, bytes_s, line)
+    return clf._build(host, ident, authuser, datestr, request, status_s, bytes_s)
 
 
 def test_one_matcher_equals_fast_path_then_regex():
@@ -321,7 +320,8 @@ def test_sample_file_parses_clean(sample_log_path):
         outcomes = list(parse_stream(f))
     assert len(outcomes) == 13
     assert all(o.ok for o in outcomes)
-    assert [o.line_number for o in outcomes] == list(range(1, 14))
+    lines = sample_log_path.read_text(encoding="latin-1").splitlines()
+    assert [o.result for o in outcomes] == [parse_line(line) for line in lines]
 
 
 def test_parse_stream_empty_input():
@@ -329,9 +329,18 @@ def test_parse_stream_empty_input():
 
 
 def test_parse_stream_skips_blank_lines_keeps_numbers():
-    src = io.StringIO(EXAMPLE + "\n\n   \n" + EXAMPLE + "\n")
-    outcomes = list(parse_stream(src))
-    assert [o.line_number for o in outcomes] == [1, 4]
+    other = EXAMPLE.replace("frank", "-")
+    src = [EXAMPLE + "\n", "\n", "   \n", other + "\n", "\t\n"]
+    assert list(parse_stream(iter(src))) == [ParseOutcome(parse_line(EXAMPLE)),
+                                             ParseOutcome(parse_line(other))]
+
+    # A stream error still numbers physical lines, blank ones included.
+    def failing():
+        yield from src
+        raise OSError("disk gone")
+
+    with pytest.raises(LogStreamError, match="after line 5"):
+        list(parse_stream(failing()))
 
 
 def test_garbage_line_reported_in_position(sample_log_path):
@@ -341,23 +350,24 @@ def test_garbage_line_reported_in_position(sample_log_path):
     assert len(outcomes) == 14
     bad = [o for o in outcomes if not o.ok]
     assert len(bad) == 1
-    assert bad[0].line_number == 6
+    assert [o.ok for o in outcomes].index(False) == 5
     assert bad[0].result.reason is ParseReason.FIELD_COUNT_MISMATCH
 
 
 def test_chunked_parsing_equals_whole_file(sample_log_path):
     lines = sample_log_path.read_text().splitlines(keepends=True)
-    whole = [(o.line_number, o.result) for o in parse_stream(iter(lines))]
+    whole = [o.result for o in parse_stream(iter(lines))]
     for split in (1, 4, 12):
-        head = [(o.line_number, o.result) for o in parse_stream(iter(lines[:split]))]
-        tail = [(o.line_number + split, o.result)
-                for o in parse_stream(iter(lines[split:]))]
+        head = [o.result for o in parse_stream(iter(lines[:split]))]
+        tail = [o.result for o in parse_stream(iter(lines[split:]))]
         assert head + tail == whole
 
 
 def test_stream_error_carries_last_good_line():
     def flaky():
+        yield "\n"
         yield EXAMPLE + "\n"
+        yield " \n"
         yield EXAMPLE + "\n"
         raise OSError("disk gone")
 
@@ -366,7 +376,9 @@ def test_stream_error_carries_last_good_line():
         for o in parse_stream(flaky()):
             out.append(o)
     assert len(out) == 2
-    assert exc_info.value.last_good_line == 2
+    # The number counts physical lines, so the blank ones too.
+    assert exc_info.value.last_good_line == 4
+    assert str(exc_info.value) == "log stream failed after line 4: disk gone"
 
 
 def test_open_log_gzip_magic(tmp_path, sample_log_path):
@@ -412,31 +424,30 @@ def test_open_log_gzip_closes_the_raw_file(tmp_path, sample_log_path, monkeypatc
     assert unraisable == []
 
 
-def _outcomes(f):
-    """parse_stream's outcomes over ``f``, and the last good line if the stream failed."""
-    outcomes = []
+def _lines(f):
+    """The lines ``f`` yields, and how many it had yielded if reading failed."""
+    lines = []
     try:
-        outcomes.extend(parse_stream(f))
-    except LogStreamError as exc:
-        return outcomes, exc.last_good_line
-    return outcomes, None
+        for line in f:
+            lines.append(line)
+    except (OSError, EOFError):
+        return lines, len(lines)
+    return lines, None
 
 
-def _textiowrapper_outcomes(path):
-    """The oracle: a TextIOWrapper's own line iteration, which holds each line whole."""
+def _textiowrapper_lines(path):
+    """The oracle: a TextIOWrapper's own line iteration, which holds each
+    line whole; open_log yields it without its line end and keeps only a
+    prefix of an over-long line."""
     raw = gzip.open(path) if path.suffix == ".gz" else open(path, "rb")
     with io.TextIOWrapper(raw, encoding="latin-1", newline="") as f:
-        outcomes, failed_after = _outcomes(f)
-    # open_log keeps only a prefix of an over-long line.
-    return [ParseOutcome(o.line_number, ParseError(o.result.reason,
-                                                   o.result.raw_line[:MAX_LINE_BYTES + 1]))
-            if not o.ok and len(o.result.raw_line) > MAX_LINE_BYTES else o
-            for o in outcomes], failed_after
+        lines, failed_after = _lines(f)
+    return [line.rstrip("\r\n")[:MAX_LINE_BYTES + 1] for line in lines], failed_after
 
 
-def _open_log_outcomes(path):
+def _open_log_lines(path):
     with open_log(path) as f:
-        return _outcomes(f)
+        return _lines(f)
 
 
 def _random_log(rng, size):
@@ -471,15 +482,15 @@ def test_open_log_lines_equal_textiowrapper_lines(tmp_path, seed):
     plain, gz = tmp_path / "access.log", tmp_path / "access.log.gz"
     plain.write_bytes(data)
     gz.write_bytes(packed)
-    expected, failed_after = _textiowrapper_outcomes(plain)
+    expected, failed_after = _textiowrapper_lines(plain)
     assert failed_after is None and len(expected) > 100
-    assert _open_log_outcomes(plain) == (expected, None)
-    assert _open_log_outcomes(gz) == (expected, None)
+    assert _open_log_lines(plain) == (expected, None)
+    assert _open_log_lines(gz) == (expected, None)
     # A truncated gzip fails after the same line as the oracle.
     gz.write_bytes(packed[:rng.randrange(100, len(packed))])
-    truncated = _textiowrapper_outcomes(gz)
+    truncated = _textiowrapper_lines(gz)
     assert truncated[1] is not None
-    assert _open_log_outcomes(gz) == truncated
+    assert _open_log_lines(gz) == truncated
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"])
@@ -495,10 +506,10 @@ def test_open_log_line_end_at_a_chunk_boundary(tmp_path, end, shift):
     tail = ' HTTP/1.0" 200 2326'
     first = head + "a" * (boundary - 1 + shift - len(head) - len(tail)) + tail
     path.write_bytes((first + end + end + EXAMPLE + end + EXAMPLE).encode("latin-1"))
-    outcomes, failed_after = _open_log_outcomes(path)
-    assert (outcomes, failed_after) == _textiowrapper_outcomes(path)
-    assert [(o.line_number, o.ok) for o in outcomes] == [(1, True), (3, True), (4, True)]
-    assert outcomes[0].result.resource.endswith("a" * 10)
+    lines, failed_after = _open_log_lines(path)
+    assert (lines, failed_after) == _textiowrapper_lines(path)
+    assert lines == [first, "", EXAMPLE, EXAMPLE]
+    assert all(o.ok for o in parse_stream(lines))
 
 
 @pytest.mark.parametrize("compress", [False, True])
@@ -512,14 +523,15 @@ def test_open_log_memory_does_not_grow_with_line_length(tmp_path, compress):
     tracemalloc.reset_peak()
     try:
         with open_log(path) as f:
-            outcomes = list(parse_stream(f))
+            lines = list(f)
+        outcomes = list(parse_stream(lines))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, f"peak {peak:,} bytes for an 8 MiB line"
-    assert [(o.line_number, o.ok) for o in outcomes] == [(1, True), (2, False), (3, True)]
-    assert outcomes[1].result == ParseError(ParseReason.FIELD_COUNT_MISMATCH,
-                                            long_line[:MAX_LINE_BYTES + 1])
+    assert lines == [EXAMPLE, long_line[:MAX_LINE_BYTES + 1], EXAMPLE]
+    assert [o.ok for o in outcomes] == [True, False, True]
+    assert outcomes[1].result == ParseError(ParseReason.FIELD_COUNT_MISMATCH)
 
 
 def test_filter_default_policy_keeps_sample(sample_records):

@@ -226,16 +226,14 @@ def test_explosion_guard_maps_to_exit_3(tmp_path, capsys, sample_log_path,
                                         data_dir, monkeypatch):
     from commdir import community as community_mod
 
-    def blow_up(*args, **kwargs):
-        raise community_mod.ExplosionGuardError(10)
-
-    monkeypatch.setattr(community_mod, "find_communities", blow_up)
+    # The cap is read when the search runs, so the first clique trips it.
+    monkeypatch.setattr(community_mod, "CLIQUE_CAP", 0)
     code, _, stderr = run(capsys, "cluster", str(sample_log_path),
                           "--taxonomy", str(data_dir / "taxonomy.tsv"),
                           "--out", str(tmp_path / "o"))
     assert code == 3
     # No cluster flag sets the cap, so the advice names only tau.
-    assert stderr == "error: more than 10 maximal cliques; raise tau\n"
+    assert stderr == "error: more than 0 maximal cliques; raise tau\n"
 
 
 def test_cluster_bad_taxonomy_exits_1(tmp_path, capsys, sample_log_path):
@@ -433,6 +431,23 @@ def test_taxonomy_add_and_update(capsys, tmp_path, data_dir):
     assert stdout == "updated Top/News (7 categories)\n"
     assert len(tax.read_text().strip().splitlines()) == after
     assert "0.8" in tax.read_text()
+
+
+def test_taxonomy_update_keeps_what_a_flag_leaves_out(capsys, tmp_path, data_dir):
+    tax = tmp_path / "t.tsv"
+    shutil.copy(data_dir / "taxonomy.tsv", tax)
+
+    def edit(action, *flags):
+        assert run(capsys, "taxonomy", action, str(tax), "Top/News", *flags)[0] == 0
+        return [line for line in tax.read_text().splitlines() if line.startswith("Top/News")]
+
+    assert edit("add", "--keywords", "news,press") == ["Top/News\tnews,press"]
+    # A depth-default weight stays a default, so it is not written out.
+    assert edit("update", "--keywords", "media,news,press") == ["Top/News\tmedia,news,press"]
+    assert edit("update", "--weight", "0.8") == ["Top/News\tmedia,news,press\t0.8"]
+    assert edit("update", "--keywords", "x") == ["Top/News\tx\t0.8"]
+    assert edit("update") == ["Top/News\tx\t0.8"]
+    assert edit("update", "--keywords", "") == ["Top/News\t\t0.8"]
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from commdir import community as community_mod
 from commdir.artificial import _jaccard
 from commdir.classify import UNSPECIFIED, UsageVector, build_usage_vectors
 from commdir.community import (
@@ -131,15 +132,17 @@ def test_empty_graph_no_communities():
     assert find_communities(g) == []
 
 
-def test_explosion_guard_trips():
+def test_explosion_guard_trips(monkeypatch):
     # Moon-Moser graph on 9 vertices (3 groups, edges across groups): 27 cliques
     vertices = [f"v{i}" for i in range(9)]
     edges = [(a, b) for a, b in itertools.combinations(vertices, 2)
              if int(a[1]) % 3 != int(b[1]) % 3]
     g = graph_from_edges(vertices, edges)
-    with pytest.raises(ExplosionGuardError):
-        find_communities(g, min_size=1, clique_cap=10)
-    assert len(find_communities(g, min_size=1, clique_cap=27)) == 27
+    monkeypatch.setattr(community_mod, "CLIQUE_CAP", 10)
+    with pytest.raises(ExplosionGuardError, match="more than 10 maximal cliques"):
+        find_communities(g, min_size=1)
+    monkeypatch.setattr(community_mod, "CLIQUE_CAP", 27)
+    assert len(find_communities(g, min_size=1)) == 27
 
 
 def test_large_clique_search_is_not_bounded_by_recursion_limit():
@@ -278,25 +281,27 @@ def moon_moser(groups):
     return vertices, edges
 
 
-def test_clique_guard_trips_in_bounded_memory():
+def test_clique_guard_trips_in_bounded_memory(monkeypatch):
     # Moon-Moser graph, 9 groups of 3: 3**9 = 19,683 maximal cliques of 9.
     g = graph_from_edges(*moon_moser(9))
+    monkeypatch.setattr(community_mod, "CLIQUE_CAP", 5000)
     for min_size, keep_singletons in ((1, False), (2, True), (10, False)):
         tracemalloc.start()
         try:
             with pytest.raises(ExplosionGuardError):
-                find_communities(g, min_size, keep_singletons, clique_cap=5000)
+                find_communities(g, min_size, keep_singletons)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # 5,000 stored cliques as sorted tuples take about 0.6 MB; as
         # frozensets they took 3.7 MB.
         assert peak < 2_000_000
-    assert len(find_communities(g, clique_cap=3 ** 9)) == 3 ** 9
+    monkeypatch.setattr(community_mod, "CLIQUE_CAP", 3 ** 9)
+    assert len(find_communities(g)) == 3 ** 9
 
 
 @pytest.mark.parametrize("groups", [3, 9])
-def test_clique_guard_trips_at_the_same_cap_on_a_blown_up_graph(groups):
+def test_clique_guard_trips_at_the_same_cap_on_a_blown_up_graph(groups, monkeypatch):
     # Twin classes are counted once, so the guard counts maximal cliques,
     # not their members.
     vertices, edges = moon_moser(groups)
@@ -304,9 +309,11 @@ def test_clique_guard_trips_at_the_same_cap_on_a_blown_up_graph(groups):
     blown, blown_edges, _ = blow_up(vertices, edges, {v: rng.randint(1, 4) for v in vertices})
     assert len(blown) > len(vertices)
     for g in (graph_from_edges(vertices, edges), graph_from_edges(blown, blown_edges)):
+        monkeypatch.setattr(community_mod, "CLIQUE_CAP", 3 ** groups - 1)
         with pytest.raises(ExplosionGuardError):
-            find_communities(g, min_size=1, clique_cap=3 ** groups - 1)
-        assert len(find_communities(g, min_size=1, clique_cap=3 ** groups)) == 3 ** groups
+            find_communities(g, min_size=1)
+        monkeypatch.setattr(community_mod, "CLIQUE_CAP", 3 ** groups)
+        assert len(find_communities(g, min_size=1)) == 3 ** groups
 
 
 def test_identical_users_form_one_community_quickly():

@@ -91,7 +91,7 @@ def test_library_names_exist():
 
 def test_removed_names_are_gone():
     removed = removed_names()
-    assert len(removed) == 14
+    assert len(removed) == 18
     for name in removed:
         assert not exists(name), name
         assert not hasattr(commdir, name.rpartition(".")[2]), name
