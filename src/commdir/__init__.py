@@ -1,24 +1,17 @@
 """commdir: mine proxy access logs into community web directories.
 
-Pipeline: parse Common Log Format records, extract page references,
-classify them against a thematic taxonomy, cluster users into communities
-by usage similarity, and prune the taxonomy into one scored directory per
-community.
-"""
+Pipeline, with the module behind each step: parse Common Log Format
+records (``commdir.clf``), extract page references (``commdir.urls``),
+classify them against a thematic taxonomy (``commdir.taxonomy``,
+``commdir.classify``), cluster users into communities by usage similarity
+(``commdir.community``), and prune the taxonomy into one scored directory
+per community (``commdir.community``, reported by ``commdir.metrics``).
+``commdir.artificial`` builds a taxonomy from the log's own sites, and
+``commdir.cli`` runs the whole pipeline.
 
-from .artificial import SiteProfile, build_artificial_directory, cluster_sites, profile_sites
-from .classify import (UNSPECIFIED, UsageVector, build_usage_vectors,
-                       classify_page, usage_vectors_tsv, user_key)
-from .clf import (DEFAULT_POLICY, FilterPolicy, LogRecord, LogStreamError,
-                  ParseError, ParseOutcome, ParseReason, filter_records,
-                  format_record, open_log, parse_line, parse_stream)
-from .community import (Community, CommunityDirectory, ExplosionGuardError,
-                        SimilarityGraph, build_community_directory, build_graph,
-                        community_profile, directory_doc, directory_text,
-                        find_communities)
-from .metrics import build_report, coverage, report_json, report_text, shrinkage
-from .taxonomy import (Category, Taxonomy, TaxonomyError, add_or_update_category,
-                       ancestors, load_taxonomy, make_taxonomy, serialize_taxonomy)
-from .urls import PageRef, extract_page_ref, strip_query, tokenize
+The package namespace holds only these modules: import a name from the
+module that defines it, e.g. ``from commdir.clf import parse_stream``.
+Importing ``commdir`` itself loads none of them.
+"""
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ weights.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,13 +41,13 @@ def profile_sites(refs: Iterable[PageRef]) -> list[SiteProfile]:
 
     Each distinct reference is tokenized once, its token counts scaled by its hits.
     """
-    tokens: dict[str, Counter] = {}
+    tokens: defaultdict[str, Counter] = defaultdict(Counter)
     hits: Counter = Counter()
     for ref, n in Counter(refs).items():
         if ref.site is None:
             continue
         hits[ref.site] += n
-        tokens.setdefault(ref.site, Counter()).update(
+        tokens[ref.site].update(
             {token: count * n for token, count in tokenize(ref).items()})
     return [SiteProfile(site, tokens[site], hits[site]) for site in sorted(hits)]
 

@@ -2,7 +2,8 @@ import pathlib
 
 import pytest
 
-from commdir import load_taxonomy, open_log, parse_stream
+from commdir.clf import open_log, parse_stream
+from commdir.taxonomy import load_taxonomy
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -2,21 +2,28 @@
 
 The CLI example runs as written, from a directory holding the sample data.
 The Library example runs on the sample log and taxonomy, every backticked
-name that section uses is a ``commdir`` export or module (or an attribute of
-one), and every name its "Removed names" list gives is gone.
+name that section uses is a ``commdir`` module, a name one of them defines,
+or an attribute of one, and every name its "Removed names" list gives is
+gone from the package and from every module. ``import commdir`` loads no
+module, as that section says.
 """
 
 import dataclasses
 import importlib
-import importlib.util
+import os
 import pathlib
+import pkgutil
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 
 import commdir
 from commdir import cli
 
+MODULES = {m.name: importlib.import_module(f"commdir.{m.name}")
+           for m in pkgutil.iter_modules(commdir.__path__)}
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 _NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
 
@@ -40,21 +47,32 @@ def removed_names():
     return [name for b in bullets for name in _NAME.findall(re.split(r":\s", b, 1)[0])]
 
 
+def defining_module(name):
+    """The ``commdir`` module that defines a bare name, or None: the one
+    holding it whose ``__module__`` it is, if it has a ``__module__``."""
+    for module in MODULES.values():
+        obj = getattr(module, name, None)
+        if obj is not None and getattr(obj, "__module__", module.__name__) == module.__name__:
+            return module
+    return None
+
+
 def lookup(dotted):
-    """The object a dotted name names, from a ``commdir`` export or module."""
+    """The object a dotted name names, from a ``commdir`` module or from a
+    bare name looked up in the module that defines it."""
     head, *rest = dotted.split(".")
-    obj = getattr(commdir, head, None) or importlib.import_module(f"commdir.{head}")
+    obj = MODULES.get(head) or getattr(defining_module(head), head)
     for attr in rest:
         obj = getattr(obj, attr)
     return obj
 
 
 def exists(dotted):
-    """Whether ``commdir`` exports or holds the name: a module, an export,
-    or an attribute or dataclass field of one."""
+    """Whether ``commdir`` holds the name: a module, a name a module
+    defines, or an attribute or dataclass field of one."""
     owner, _, attr = dotted.rpartition(".")
     if not owner:
-        return hasattr(commdir, attr) or importlib.util.find_spec(f"commdir.{attr}") is not None
+        return attr in MODULES or defining_module(attr) is not None
     obj = lookup(owner)
     fields = dataclasses.fields(obj) if dataclasses.is_dataclass(obj) else ()
     return hasattr(obj, attr) or attr in {f.name for f in fields}
@@ -94,4 +112,14 @@ def test_removed_names_are_gone():
     assert len(removed) == 18
     for name in removed:
         assert not exists(name), name
-        assert not hasattr(commdir, name.rpartition(".")[2]), name
+        attr = name.rpartition(".")[2]
+        assert [m.__name__ for m in (commdir, *MODULES.values()) if hasattr(m, attr)] == [], name
+
+
+def test_import_commdir_loads_no_module():
+    src = str(pathlib.Path(commdir.__file__).resolve().parents[1])
+    code = "import commdir, sys; print(*sorted(m for m in sys.modules if m.startswith('commdir.')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.split() == []
