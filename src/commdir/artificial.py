@@ -100,17 +100,8 @@ def build_artificial_directory(partition: Sequence[Sequence[str]],
     tokens. Weights are left to the depth default.
     """
     by_site = {p.site: p for p in profiles}
-    seen: set[str] = set()
-    for block in partition:
-        for site in block:
-            if site not in by_site:
-                raise ValueError(f"partition mentions unprofiled site {site!r}")
-            if site in seen:
-                raise ValueError(f"partition repeats site {site!r}")
-            seen.add(site)
-    if seen != set(by_site):
-        missing = sorted(set(by_site) - seen)
-        raise ValueError(f"partition does not cover sites: {missing}")
+    if sorted(site for block in partition for site in block) != sorted(by_site):
+        raise ValueError("partition must list each profiled site exactly once")
 
     def block_key(block: Sequence[str]) -> tuple[int, str]:
         return (-sum(by_site[s].hits for s in block), min(block))

@@ -6,10 +6,10 @@ canonical CLF lines, ``sites`` lists visited sites and directories,
 edits/prints taxonomy files. Outputs are deterministic byte-for-byte for
 equal inputs and flags, and files are written atomically.
 
-Exit codes: 0 success, 1 usage or input error, 2 no records parsed (for
-``sites`` and ``cluster``: none left to mine), 3 clique explosion guard
-tripped. ``main`` reports every failure, no records to parse or mine
-included, as one ``error:`` line on stderr.
+Exit codes: 0 success, 1 usage or input error or out of memory, 2 no
+records parsed (for ``sites`` and ``cluster``: none left to mine), 3 clique
+explosion guard tripped. ``main`` reports every failure, no records to parse
+or mine included, as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -390,6 +390,8 @@ def main(argv: list[str] | None = None) -> int:
         code, message = EXIT_EXPLOSION, str(exc)
     except (OSError, ValueError) as exc:
         code, message = EXIT_USAGE, str(exc)
+    except MemoryError:
+        code, message = EXIT_USAGE, "out of memory"
     print(f"error: {message}", file=sys.stderr)
     return code
 

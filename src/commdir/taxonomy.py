@@ -135,14 +135,12 @@ def make_taxonomy(entries: Mapping[str, tuple[Iterable[str], float | None]]) -> 
     non-empty, no tab, CR or LF, no surrounding blanks, and no comma in a
     keyword.
     """
-    filled: dict[str, tuple[Iterable[str], float | None]] = {}
+    filled: dict[str, tuple[Iterable[str], float | None]] = {ROOT: ((), None)}
     for path, entry in entries.items():
         _validate_path(path)
-        filled[path] = entry
-    for path in list(filled):
         for anc in ancestors(path):
             filled.setdefault(anc, ((), None))
-    filled.setdefault(ROOT, ((), None))
+        filled[path] = entry
     max_d = max(depth(p) for p in filled)
     cats: dict[str, Category] = {}
     for path, (keywords, weight) in filled.items():

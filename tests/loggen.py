@@ -1,5 +1,6 @@
 """Synthetic log generators shared by the unit and acceptance tests."""
 
+import itertools
 import random
 
 _HOST_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -83,3 +84,27 @@ def planted_two_group_log(seed: int = 42):
     group_b = tuple(f"Top/Topic-{i:02d}" for i in range(6, 11))
     return ("\n".join(log_lines) + "\n", "\n".join(tax_lines) + "\n",
             group_a, group_b)
+
+
+def moon_moser_log(groups: int):
+    """Log + taxonomy whose user graph is complete ``groups``-partite with
+    parts of 3 users, so it has 3**groups maximal cliques of ``groups`` users.
+
+    Returns (log_text, taxonomy_text, tau). Each pair of users in different
+    groups shares one private category, hit once by each of the two, so every
+    user has 3 * (groups - 1) categories with one hit each: the cosine of a
+    cross-group pair is 1 / (3 * (groups - 1)) and that of a same-group pair
+    is 0. The returned tau lies just below the cross-group cosine.
+    """
+    users = [(i, f"g{i}u{j}") for i in range(groups) for j in range(3)]
+    ts = "[10/Oct/2000:13:55:36 -0700]"
+    tax_lines, log_lines = [], []
+    for (group_a, a), (group_b, b) in itertools.combinations(users, 2):
+        if group_a == group_b:
+            continue
+        topic = f"p{len(tax_lines):04d}"
+        tax_lines.append(f"Top/{topic}\t{topic}")
+        for host in (a, b):
+            log_lines.append(f'{host} - - {ts} "GET /www.{topic}.org/ HTTP/1.0" 200 512')
+    tau = 0.99 / (3 * (groups - 1))
+    return "\n".join(log_lines) + "\n", "\n".join(tax_lines) + "\n", f"{tau:.4g}"

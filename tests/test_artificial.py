@@ -6,11 +6,12 @@ import pytest
 from commdir.artificial import (
     SiteProfile,
     _jaccard,
+    _top_tokens,
     build_artificial_directory,
     cluster_sites,
     profile_sites,
 )
-from commdir.taxonomy import ancestors, depth
+from commdir.taxonomy import ROOT, ancestors, depth, make_taxonomy
 from commdir.urls import extract_page_ref, tokenize
 
 
@@ -214,6 +215,78 @@ def test_partition_validation():
         build_artificial_directory([], profiles)
     with pytest.raises(ValueError):
         build_artificial_directory([("a.com",), ("a.com",)], profiles)
+
+
+def loop_checked_directory(partition, profiles):
+    """build_artificial_directory as it was when a loop checked the partition
+    for an unprofiled site, a repeated site and missing sites, one by one:
+    the oracle of the single sorted-list comparison that replaced it."""
+    by_site = {p.site: p for p in profiles}
+    seen = set()
+    for block in partition:
+        for site in block:
+            if site not in by_site:
+                raise ValueError(f"partition mentions unprofiled site {site!r}")
+            if site in seen:
+                raise ValueError(f"partition repeats site {site!r}")
+            seen.add(site)
+    if seen != set(by_site):
+        missing = sorted(set(by_site) - seen)
+        raise ValueError(f"partition does not cover sites: {missing}")
+
+    def block_key(block):
+        return (-sum(by_site[s].hits for s in block), min(block))
+
+    entries = {ROOT: ((), None)}
+    for k, block in enumerate(sorted(partition, key=block_key), 1):
+        cluster_tokens = Counter()
+        for site in block:
+            cluster_tokens.update(by_site[site].tokens)
+        cluster_path = f"{ROOT}/Cluster-{k}"
+        entries[cluster_path] = (_top_tokens(cluster_tokens), None)
+        for site in sorted(block):
+            entries[f"{cluster_path}/{site}"] = (_top_tokens(by_site[site].tokens), None)
+    return make_taxonomy(entries)
+
+
+def random_partition(rng, profiles):
+    """A partition of the profiled sites, often spoiled: a site dropped, an
+    unprofiled one or a repeat added, an empty block added."""
+    blocks = [[] for _ in range(rng.randint(1, 4))]
+    for p in profiles:
+        rng.choice(blocks).append(p.site)
+    sites = [p.site for p in profiles]
+    if sites and rng.random() < 0.2:
+        dropped = rng.choice(sites)
+        blocks = [[s for s in b if s != dropped] for b in blocks]
+    if rng.random() < 0.2:
+        rng.choice(blocks).append(f"s{rng.randrange(8)}.net")
+    if sites and rng.random() < 0.2:
+        rng.choice(blocks).append(rng.choice(sites))
+    if rng.random() < 0.2:
+        blocks.append([])
+    return [tuple(rng.sample(b, len(b))) for b in blocks if b or rng.random() < 0.3]
+
+
+def test_partition_check_matches_loop_oracle():
+    rng = random.Random(25)
+    outcomes = Counter()
+    for _ in range(2000):
+        profiles = [profile(f"s{i}.net", rng.sample("abcdefg", rng.randint(0, 4)),
+                            hits=rng.randint(1, 3))
+                    for i in rng.sample(range(8), rng.randint(0, 6))]
+        partition = random_partition(rng, profiles)
+        try:
+            expected = loop_checked_directory(partition, profiles)
+        except ValueError:
+            with pytest.raises(ValueError):
+                build_artificial_directory(partition, profiles)
+            outcomes["rejected"] += 1
+            continue
+        tax = build_artificial_directory(partition, profiles)
+        assert tax.categories == expected.categories
+        outcomes["accepted"] += 1
+    assert min(outcomes.values()) > 500
 
 
 def test_cluster_order_by_hits_then_site():

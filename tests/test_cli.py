@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import shutil
 import stat
 import subprocess
@@ -18,6 +19,7 @@ from commdir.cli import _policy_from_args, build_parser, main, read_records
 from commdir.community import (build_community_directory, build_graph, community_profile,
                                directory_text, find_communities)
 from commdir.taxonomy import MAX_DEPTH, load_taxonomy
+from loggen import moon_moser_log
 from test_clf import UnreadableFile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
@@ -734,6 +736,30 @@ def test_failure_prints_one_error_line(case, tmp_path, capsys, sample_log_path, 
     assert not target.exists()
     if case == "out-is-a-file":
         assert (tmp_path / "out").read_text() == "keep me\n"
+
+
+def _cap_address_space():
+    # Runs in the child between fork and exec, so only the child is capped.
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def test_out_of_memory_prints_one_error_line(tmp_path):
+    # 8 groups of 3 users: 6,561 maximal cliques of 8, each user in 2,187 of
+    # them, so the report's overlap counts ~20M community pairs, more than
+    # 512 MiB hold.
+    log_text, tax_text, tau = moon_moser_log(8)
+    (tmp_path / "mm.log").write_text(log_text)
+    (tmp_path / "mm.tsv").write_text(tax_text)
+    out = tmp_path / "out"
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "commdir.cli", "cluster", str(tmp_path / "mm.log"),
+         "--taxonomy", str(tmp_path / "mm.tsv"), "--tau", tau, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=_cap_address_space,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_parse_out_is_a_directory_names_it(tmp_path, capsys, sample_log_path):

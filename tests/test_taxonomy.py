@@ -11,6 +11,9 @@ from commdir.taxonomy import (
     Category,
     Taxonomy,
     TaxonomyError,
+    _KEYWORD_BREAKS,
+    _field as checked_field,
+    _validate_path,
     add_or_update_category,
     ancestors,
     depth,
@@ -308,6 +311,49 @@ def test_every_taxonomy_make_taxonomy_accepts_reads_back(entries):
     assert again.categories == tax.categories
     assert [c.explicit_weight for c in again.categories.values()] == \
         [c.explicit_weight for c in tax.categories.values()]
+
+
+def two_pass_make_taxonomy(entries):
+    """make_taxonomy as it was when it checked every path first and filled
+    in the ancestors in a second pass: the oracle of the one-pass fill."""
+    filled = {}
+    for path, entry in entries.items():
+        _validate_path(path)
+        filled[path] = entry
+    for path in list(filled):
+        for anc in ancestors(path):
+            filled.setdefault(anc, ((), None))
+    filled.setdefault(ROOT, ((), None))
+    max_d = max(depth(p) for p in filled)
+    cats = {}
+    for path, (keywords, weight) in filled.items():
+        checked_field("category path", path)
+        kwset = frozenset(checked_field("keyword", str(k), _KEYWORD_BREAKS).lower()
+                          for k in keywords)
+        if weight is None:
+            cats[path] = Category(kwset, depth(path) / max_d if max_d else 0.0)
+        else:
+            w = float(weight) or 0.0
+            if not 0.0 <= w <= 1.0:
+                raise TaxonomyError(f"weight for {path!r} outside [0, 1]: {weight!r}")
+            cats[path] = Category(kwset, w, explicit_weight=True)
+    return Taxonomy(cats)
+
+
+@given(st.dictionaries(_PATHS | st.sampled_from(["Top", "top/a", "Top//a", "Top/a/"]),
+                       st.tuples(_KEYWORDS, st.none() | st.floats(-0.5, 1.5)),
+                       min_size=1, max_size=4))
+def test_make_taxonomy_matches_two_pass_oracle(entries):
+    try:
+        expected = two_pass_make_taxonomy(entries)
+    except TaxonomyError:
+        with pytest.raises(TaxonomyError):
+            make_taxonomy(entries)
+        return
+    tax = make_taxonomy(entries)
+    assert list(tax.categories.items()) == list(expected.categories.items())
+    assert [c.explicit_weight for c in tax.categories.values()] == \
+        [c.explicit_weight for c in expected.categories.values()]
 
 
 @pytest.mark.parametrize("path,keyword", [
