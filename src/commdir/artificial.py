@@ -100,8 +100,10 @@ def build_artificial_directory(partition: Sequence[Sequence[str]],
     tokens. Weights are left to the depth default.
     """
     by_site = {p.site: p for p in profiles}
-    if sorted(site for block in partition for site in block) != sorted(by_site):
-        raise ValueError("partition must list each profiled site exactly once")
+    if not all(partition) or \
+            sorted(site for block in partition for site in block) != sorted(by_site):
+        raise ValueError("partition must list each profiled site exactly once,"
+                         " in blocks that are not empty")
 
     def block_key(block: Sequence[str]) -> tuple[int, str]:
         return (-sum(by_site[s].hits for s in block), min(block))

@@ -54,9 +54,10 @@ def build_report(full: Taxonomy, directories: Sequence[CommunityDirectory],
     ``overlap`` lists ``[i, j, n]`` for every pair of communities (1-based
     ids, i < j) that share n > 0 members, sorted; it grows with the shared
     memberships, not with the square of the community count. A community's
-    overlap with itself is its ``member_count``. Ordering follows the
-    (already canonical) directory order, so the report is deterministic for
-    equal inputs.
+    overlap with itself is its ``member_count``. The list is written only
+    to ``report.json``; ``report_text`` gives its length. Ordering follows
+    the (already canonical) directory order, so the report is deterministic
+    for equal inputs.
     """
     vectors = list(vectors)
     rows = []
@@ -101,7 +102,13 @@ def build_report(full: Taxonomy, directories: Sequence[CommunityDirectory],
 
 
 def report_text(report: dict) -> str:
-    """Human-readable rendering of build_report output."""
+    """Human-readable rendering of build_report output.
+
+    One line per community plus a fixed header and footer. The overlap is
+    summarised in one line, its pair count, since ``report_json`` already
+    lists the pairs: the text grows with the communities, not with the
+    pairs that overlap.
+    """
     lines = ["community directory report", ""]
     if report["parameters"]:
         lines.append("parameters:")
@@ -130,13 +137,12 @@ def report_text(report: dict) -> str:
     lines.append(f"global unspecified fraction: {avg['global_unspecified_fraction']:.4f}")
     if report["overlap"]:
         lines.append("")
-        lines.append("shared members:")
-        lines.append(f"{'i':>4} {'j':>4} {'shared':>8}")
-        for i, j, n in report["overlap"]:
-            lines.append(f"{i:>4} {j:>4} {n:>8}")
+        lines.append(f"shared members: {len(report['overlap'])} pairs of communities;"
+                     ' report.json lists them under "overlap"')
     return "\n".join(lines) + "\n"
 
 
 def report_json(report: dict) -> str:
-    """Compact one-line JSON: unindented, so the C encoder renders it."""
-    return json.dumps(report) + "\n"
+    """Compact one-line JSON: unindented, so the C encoder renders it, and
+    without the blank after each ``,`` and ``:``."""
+    return json.dumps(report, separators=(",", ":")) + "\n"

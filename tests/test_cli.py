@@ -336,6 +336,29 @@ def test_communities_txt_joins_each_communitys_stem_and_text_tree(tmp_path, caps
             == [list(m) for m in members]
 
 
+def test_cluster_report_grows_with_communities_not_overlapping_pairs(tmp_path, capsys):
+    files, _ = gen.generate("overlap-cliques", 5, str(tmp_path / "in"), SMALL_OVERLAP)
+    out = tmp_path / "out"
+    code, stdout, _ = run(capsys, "cluster", files["log"], "--taxonomy", files["taxonomy"],
+                          "--tau", "0.4", "--keep-singletons", "--out", str(out))
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    n, pairs = report["community_count"], len(report["overlap"])
+    assert pairs > n > 20
+    # The header holds the title, the seven parameters, the counts and the
+    # column heads; the footer the three averages and the overlap's one line.
+    text = (out / "report.txt").read_text()
+    assert len(text.splitlines()) == 16 + n + 6
+    assert text.endswith(f"\nshared members: {pairs} pairs of communities;"
+                         ' report.json lists them under "overlap"\n')
+    assert stdout == text
+    jsons = sorted(out.glob("*.json"))
+    assert len(jsons) == n + 1
+    for path in jsons:
+        data = path.read_text()
+        assert data == json.dumps(json.loads(data), separators=(",", ":")) + "\n", path.name
+
+
 def test_cluster_without_communities_writes_an_empty_communities_txt(tmp_path, capsys,
                                                                     sample_log_path, data_dir):
     # Also over a run that found one, so the file is never stale.

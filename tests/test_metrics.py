@@ -125,7 +125,8 @@ def test_report_overlap_pairs(fixture_taxonomy):
     d2 = build_community_directory(fixture_taxonomy, com_bc, 0.0)
     report = build_report(fixture_taxonomy, [d1, d2], vectors)
     assert report["overlap"] == [[1, 2, 1]]
-    assert report_text(report).endswith("shared members:\n   i    j   shared\n   1    2        1\n")
+    assert report_text(report).endswith(
+        '\nshared members: 1 pairs of communities; report.json lists them under "overlap"\n')
     assert json.loads(report_json(report))["overlap"] == [[1, 2, 1]]
 
 

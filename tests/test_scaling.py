@@ -7,6 +7,9 @@ overlap triples; only the membership of those cliques grows with the users.
 Adjacency reads in ``find_communities`` must then grow no faster than the
 membership, and the traced peak of ``build_report``, which holds a row per
 membership and the triples, no faster than the two together.
+
+``report_text`` must grow with the communities alone: on a Moon-Moser log
+(``tests/loggen.py``) nearly every pair of its cliques overlaps.
 """
 
 import pathlib
@@ -21,11 +24,12 @@ from commdir.clf import filter_records
 from commdir.community import (DEFAULT_THETA, SimilarityGraph, _twin_classes,
                                build_community_directory, build_graph, community_profile,
                                find_communities)
-from commdir.metrics import build_report
+from commdir.metrics import build_report, report_text
 from commdir.taxonomy import load_taxonomy
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
+from loggen import moon_moser_log  # noqa: E402
 
 SCALES = (300, 600, 1_200)
 # A measured figure may grow up to 25% faster than its bound before a gate
@@ -99,3 +103,24 @@ def test_report_peak_grows_no_faster_than_membership_plus_triples(runs):
     bound = growth(runs, lambda run: run["members"] + run["triples"])
     for n, peak, limit in zip(SCALES, growth(runs, lambda run: run["peak"]), bound):
         assert peak <= SLACK * limit, (n, runs[n]["peak"])
+
+
+# report_text's lines that are no community's row when the report has no
+# parameters: title, counts, column heads, averages, the overlap's line and
+# the blank lines between them (13), with room to spare.
+FIXED_REPORT_LINES = 20
+
+
+def test_report_text_grows_with_communities_not_overlapping_pairs(tmp_path):
+    log_text, tax_text, tau = moon_moser_log(5)
+    (tmp_path / "mm.log").write_text(log_text)
+    (tmp_path / "mm.tsv").write_text(tax_text)
+    tax = load_taxonomy(str(tmp_path / "mm.tsv"))
+    vectors = build_usage_vectors(list(filter_records(read_records(str(tmp_path / "mm.log"))[0])),
+                                  tax)
+    cliques = find_communities(build_graph(vectors, float(tau)))
+    directories = [build_community_directory(tax, community_profile(m, vectors), DEFAULT_THETA)
+                   for m in cliques]
+    report = build_report(tax, directories, vectors)
+    assert (len(cliques), len(report["overlap"])) == (243, 25_515)
+    assert len(report_text(report).splitlines()) <= len(cliques) + FIXED_REPORT_LINES
