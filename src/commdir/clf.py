@@ -217,6 +217,8 @@ def parse_line(line: str) -> LogRecord | ParseError:
 def parse_stream(source: Iterable[str]) -> Iterator[ParseOutcome]:
     """One ParseOutcome per non-blank line, in file order; blank lines skipped.
 
+    A line loses its trailing run of CR and LF, so it parses as open_log's
+    reading of the same bytes does.
     A failing source (I/O error, truncated or corrupt gzip) raises
     LogStreamError with the number of the last line read, counting every
     physical line, blank ones included.
@@ -224,9 +226,7 @@ def parse_stream(source: Iterable[str]) -> Iterator[ParseOutcome]:
     lineno = 0
     try:
         for lineno, raw in enumerate(source, 1):
-            line = raw.rstrip("\n")
-            if line.endswith("\r"):
-                line = line[:-1]
+            line = raw.rstrip("\r\n")
             if not line or line.isspace():
                 continue
             yield ParseOutcome(parse_line(line))

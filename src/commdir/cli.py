@@ -4,7 +4,8 @@ Subcommands mirror the mining workflow: ``parse`` rewrites a raw log as
 canonical CLF lines, ``sites`` lists visited sites and directories,
 ``cluster`` runs the full community-directory pipeline, and ``taxonomy``
 edits/prints taxonomy files. Outputs are deterministic byte-for-byte for
-equal inputs and flags, and files are written atomically.
+equal inputs and flags. Files are written atomically, and ``cluster``
+renders all of its files before it writes the first.
 
 Exit codes: 0 success, 1 usage or input error or out of memory, 2 no
 records parsed (for ``sites`` and ``cluster``: none left to mine), 3 clique
@@ -213,12 +214,15 @@ def cmd_cluster(args) -> int:
         "policy_status": status,
         "taxonomy_source": "artificial" if args.artificial else "file",
     }
+    # Every file of the run, rendered before --out is touched: a failure leaves it as it was.
+    outputs: dict[str, str] = {}
     if args.artificial:
         parameters["sigma"] = args.sigma
         refs = [extract_page_ref(r.resource) for r in kept]
         profiles = artificial.profile_sites(refs)
         partition = artificial.cluster_sites(profiles, args.sigma)
         tax = artificial.build_artificial_directory(partition, profiles)
+        outputs["artificial-taxonomy.tsv"] = taxonomy_mod.serialize_taxonomy(tax)
     else:
         with _about(f"taxonomy {args.taxonomy}"):
             tax = taxonomy_mod.load_taxonomy(args.taxonomy)
@@ -234,34 +238,28 @@ def cmd_cluster(args) -> int:
     report["parse_errors"] = dict(sorted(parse_errors.items()))
     report["filtered_out"] = filtered_out
 
-    with _about(f"cannot create directory {args.out}"):
-        os.makedirs(args.out, exist_ok=True)
-    written: set[str] = set()
-
-    def write(name: str, text: str) -> None:
-        atomic_write(os.path.join(args.out, name), text)
-        written.add(name)
-
     # One text file holds every text tree: creating a file per community took
     # most of a run that finds hundreds of them.
     blocks = []
     for i, cdir in enumerate(directories, 1):
         stem = f"community-{i:03d}"
-        write(stem + ".json", metrics.report_json(community.directory_doc(cdir, tax)))
+        outputs[stem + ".json"] = metrics.report_json(community.directory_doc(cdir, tax))
         blocks.append(f"{stem}\n{community.directory_text(cdir, tax)}")
-    write("communities.txt", "\n".join(blocks))
-    write("usage-vectors.tsv", classify_mod.usage_vectors_tsv(vectors))
-    if args.artificial:
-        write("artificial-taxonomy.tsv", taxonomy_mod.serialize_taxonomy(tax))
-    text = metrics.report_text(report)
-    write("report.txt", text)
-    write("report.json", metrics.report_json(report))
+    outputs["communities.txt"] = "\n".join(blocks)
+    outputs["usage-vectors.tsv"] = classify_mod.usage_vectors_tsv(vectors)
+    outputs["report.txt"] = metrics.report_text(report)
+    outputs["report.json"] = metrics.report_json(report)
+
+    with _about(f"cannot create directory {args.out}"):
+        os.makedirs(args.out, exist_ok=True)
+    for name, text in outputs.items():
+        atomic_write(os.path.join(args.out, name), text)
     # An earlier run into the same directory may have left outputs this one has not.
     for stale in [os.path.join(args.out, name) for name in os.listdir(args.out)
-                  if name not in written and _STALE_OUTPUT.match(name)]:
+                  if name not in outputs and _STALE_OUTPUT.match(name)]:
         with _about(f"cannot remove {stale}"):
             os.unlink(stale)
-    sys.stdout.write(text)
+    sys.stdout.write(outputs["report.txt"])
     return EXIT_OK
 
 

@@ -343,6 +343,19 @@ def test_parse_stream_skips_blank_lines_keeps_numbers():
         list(parse_stream(failing()))
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\r\r\n", ""])
+def test_parse_stream_strips_line_ends_as_open_log_does(tmp_path, end):
+    # "\r\r\n" is a lone CR then a CRLF to open_log: the line, then a blank one.
+    records = [EXAMPLE.replace("frank", "-"), EXAMPLE] if end else [EXAMPLE]
+    lines = [record + end for record in records]
+    path = tmp_path / "log"
+    path.write_bytes("".join(lines).encode("latin-1"))
+    with open_log(path) as f:
+        from_file = list(parse_stream(f))
+    assert from_file == [ParseOutcome(parse_line(record)) for record in records]
+    assert list(parse_stream(iter(lines))) == from_file
+
+
 def test_garbage_line_reported_in_position(sample_log_path):
     lines = sample_log_path.read_text().splitlines()
     lines.insert(5, "@@@ not a log line @@@")

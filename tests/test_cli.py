@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from commdir import clf
+from commdir import clf, metrics
 from commdir.classify import build_usage_vectors
 from commdir.cli import _policy_from_args, build_parser, main, read_records
 from commdir.community import (build_community_directory, build_graph, community_profile,
@@ -783,6 +783,38 @@ def test_out_of_memory_prints_one_error_line(tmp_path):
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def _report_json_out_of_memory(doc, render=metrics.report_json):
+    """report_json failing on the run's report only: each community document still renders."""
+    if "parameters" in doc:
+        raise MemoryError
+    return render(doc)
+
+
+def _cluster_out_of_memory(capsys, *argv):
+    code, stdout, stderr = run(capsys, "cluster", *argv)
+    assert (code, stdout, stderr) == (1, "", "error: out of memory\n")
+
+
+def test_cluster_failing_to_render_leaves_a_used_out_as_it_was(tmp_path, capsys, sample_log_path,
+                                                                data_dir, monkeypatch):
+    argv = [str(sample_log_path), "--taxonomy", str(data_dir / "taxonomy.tsv"),
+            "--out", str(tmp_path / "out")]
+    # At tau 0 the one user forms no community; with --keep-singletons at tau 1, one.
+    assert run(capsys, "cluster", *argv, "--tau", "0.0")[0] == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert "community-001.json" not in before
+    monkeypatch.setattr(metrics, "report_json", _report_json_out_of_memory)
+    _cluster_out_of_memory(capsys, *argv, "--tau", "1.0", "--keep-singletons")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
+
+def test_cluster_failing_to_render_creates_no_out(tmp_path, capsys, sample_log_path, monkeypatch):
+    monkeypatch.setattr(metrics, "report_json", _report_json_out_of_memory)
+    _cluster_out_of_memory(capsys, str(sample_log_path), "--artificial", "--keep-singletons",
+                           "--out", str(tmp_path / "out"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parse_out_is_a_directory_names_it(tmp_path, capsys, sample_log_path):
