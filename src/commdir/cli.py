@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import os
 import re
 import stat
@@ -65,8 +64,8 @@ def _about(what: str) -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def atomic_writer(path: str, encoding: str = "utf-8") -> Iterator[IO[str]]:
-    """A text file that replaces ``path`` when the block completes; on failure, nothing does.
+def atomic_writer(path: str) -> Iterator[IO[bytes]]:
+    """A binary file that replaces ``path`` when the block completes; on failure, nothing does.
 
     File modes are those of ``open(path, "w")``: a new file gets ``0o666``
     less the umask, and a replaced file keeps its mode.
@@ -77,7 +76,7 @@ def atomic_writer(path: str, encoding: str = "utf-8") -> Iterator[IO[str]]:
         # os.open, not mkstemp (always 0600), so the umask applies as with open().
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding=encoding, newline="\n") as f:
+        with os.fdopen(fd, "wb") as f:
             yield f
         with _about(f"cannot write {path}"):
             with contextlib.suppress(FileNotFoundError):
@@ -91,7 +90,7 @@ def atomic_writer(path: str, encoding: str = "utf-8") -> Iterator[IO[str]]:
 
 def atomic_write(path: str, text: str) -> None:
     with atomic_writer(path) as f:
-        f.write(text)
+        f.write(text.encode("utf-8"))
 
 
 def _read_log(path: str, errors: Counter) -> Iterator[LogRecord]:
@@ -143,17 +142,6 @@ def _read_input(args) -> tuple[FilterPolicy, list[LogRecord], Counter, int]:
     return policy, kept, errors, filtered_out
 
 
-@contextlib.contextmanager
-def _latin1_stdout() -> Iterator[IO[str]]:
-    """``sys.stdout``'s byte stream, written as latin-1 text in the block."""
-    sys.stdout.flush()
-    out = io.TextIOWrapper(sys.stdout.buffer, encoding="latin-1", newline="\n")
-    try:
-        yield out
-    finally:
-        out.detach()  # flushes, and leaves sys.stdout.buffer open
-
-
 def _by_reason(errors: Counter, what: str) -> str:
     """``"N <what>"``, then the count of each reason when N > 0."""
     detail = ", ".join(f"{reason}: {n}" for reason, n in sorted(errors.items()))
@@ -163,18 +151,18 @@ def _by_reason(errors: Counter, what: str) -> str:
 def cmd_parse(args) -> int:
     records = 0
     errors: Counter = Counter()
+    sys.stdout.flush()
     # open_log decodes latin-1, so each line goes out in the bytes it came in.
-    with (atomic_writer(args.out, encoding="latin-1") if args.out
-          else _latin1_stdout()) as out:
+    with atomic_writer(args.out) if args.out else contextlib.nullcontext(sys.stdout.buffer) as out:
         for record in _read_log(args.log, errors):
             records += 1
-            out.write(clf.format_record(record) + "\n")
+            out.write(f"{clf.format_record(record)}\n".encode("latin-1"))
+        out.flush()  # so that a closed stdout fails here, inside main
         if not records:  # raised in the block, so no --out file is left
             raise NoRecordsError(f"no records parsed: {sum(errors.values())} lines read, "
                                  f"{_by_reason(errors, 'rejected')}")
-    lines = records + sum(errors.values())
-    summary = f"{lines} lines, {records} records, {_by_reason(errors, 'errors')}"
-    print(summary, file=sys.stderr if not args.out else sys.stdout)
+    print(f"{records + sum(errors.values())} lines, {records} records, "
+          f"{_by_reason(errors, 'errors')}", file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK
 
 
@@ -231,7 +219,8 @@ def cmd_cluster(args) -> int:
     graph = community.build_graph(vectors, args.tau)
     member_sets = community.find_communities(
         graph, min_size=args.min_size, keep_singletons=args.keep_singletons)
-    communities = [community.community_profile(m, vectors) for m in member_sets]
+    by_user = {v.user: v for v in vectors}
+    communities = [community.community_profile(m, [by_user[u] for u in m]) for m in member_sets]
     directories = [community.build_community_directory(tax, com, args.theta)
                    for com in communities]
     report = metrics.build_report(tax, directories, vectors, parameters)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -84,8 +85,8 @@ def build_report(full: Taxonomy, directories: Sequence[CommunityDirectory],
     total_hits = sum(v.total for v in vectors)
     unspecified_hits = sum(v.counts.get(UNSPECIFIED, 0) for v in vectors)
     averages = {
-        "shrinkage": sum(r["shrinkage"] for r in rows) / n if n else None,
-        "coverage": sum(r["coverage"] for r in rows) / n if n else None,
+        "shrinkage": math.fsum(r["shrinkage"] for r in rows) / n if n else None,
+        "coverage": math.fsum(r["coverage"] for r in rows) / n if n else None,
         "global_unspecified_fraction":
             unspecified_hits / total_hits if total_hits else 0.0,
     }

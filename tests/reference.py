@@ -15,6 +15,7 @@ trying every subset of users, so a log may have at most 8 users.
 """
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -215,8 +216,8 @@ def cluster(log_path, taxonomy_text, tau, theta, min_size, keep_singletons):
                     for a, b in itertools.combinations(rows, 2)
                     if set(a["members"]) & set(b["members"])],
         "averages": {
-            "shrinkage": sum(r["shrinkage"] for r in rows) / n if n else None,
-            "coverage": sum(r["coverage"] for r in rows) / n if n else None,
+            "shrinkage": math.fsum(r["shrinkage"] for r in rows) / n if n else None,
+            "coverage": math.fsum(r["coverage"] for r in rows) / n if n else None,
             "global_unspecified_fraction": all_unspecified / all_hits if all_hits else 0.0},
         "parse_errors": dict(errors),
         "filtered_out": len(records) - len(kept),

@@ -224,6 +224,16 @@ def test_cluster_accepts_parse_output(tmp_path, capsys, sample_log_path, data_di
     assert "h\u00e9st" in (tmp_path / "from-parse" / "usage-vectors.tsv").read_text()
 
 
+def test_cluster_writes_its_files_as_utf8(tmp_path, capsys, sample_log_path, data_dir):
+    # The log's bytes are read as latin-1; every file cluster writes is UTF-8.
+    log = tmp_path / "latin1.log"
+    log.write_bytes(sample_log_path.read_bytes() + _NON_ASCII_LINE)
+    assert run(capsys, "cluster", str(log), "--taxonomy", str(data_dir / "taxonomy.tsv"),
+               "--keep-singletons", "--out", str(tmp_path / "out"))[0] == 0
+    vectors = (tmp_path / "out" / "usage-vectors.tsv").read_bytes()
+    assert "h\u00e9st".encode("utf-8") in vectors and b"h\xe9st" not in vectors
+
+
 def test_explosion_guard_maps_to_exit_3(tmp_path, capsys, sample_log_path,
                                         data_dir, monkeypatch):
     from commdir import community as community_mod
@@ -456,6 +466,16 @@ def test_taxonomy_add_and_update(capsys, tmp_path, data_dir):
     assert stdout == "updated Top/News (7 categories)\n"
     assert len(tax.read_text().strip().splitlines()) == after
     assert "0.8" in tax.read_text()
+
+
+def test_taxonomy_edit_writes_utf8(capsys, tmp_path, data_dir):
+    tax = tmp_path / "t.tsv"
+    shutil.copy(data_dir / "taxonomy.tsv", tax)
+    assert run(capsys, "taxonomy", "add", str(tax), "Top/Cafes", "--keywords", "caf\u00e9")[0] == 0
+    assert "\tcaf\u00e9".encode("utf-8") in tax.read_bytes()
+    code, stdout, _ = run(capsys, "taxonomy", "show", str(tax))
+    assert code == 0
+    assert "  Cafes  w=0.50  caf\u00e9" in stdout.splitlines()
 
 
 def test_taxonomy_update_keeps_what_a_flag_leaves_out(capsys, tmp_path, data_dir):

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from commdir.classify import UNSPECIFIED, UsageVector, build_usage_vectors
 from commdir.community import (
     Community,
+    CommunityDirectory,
     build_community_directory,
     community_profile,
 )
@@ -17,6 +19,7 @@ from commdir.metrics import (
     shrinkage,
     unspecified_fraction,
 )
+from commdir.taxonomy import load_taxonomy
 
 
 def make_dir(tax, profile, theta):
@@ -111,6 +114,20 @@ def test_report_zero_communities(fixture_taxonomy):
     text = report_text(report)
     assert "zero communities" in text
     json.loads(report_json(report))
+
+
+def test_report_averages_are_exact_means():
+    # Ten communities, each selecting 1 of 10 categories and reaching 1 of its
+    # 10 classified hits. Added one by one, ten 0.1s make 0.9999999999999999;
+    # math.fsum rounds once, so each average is 0.1 on every Python version.
+    tax = load_taxonomy(io.StringIO("".join(f"Top/C{i}\n" for i in range(9))))
+    profile = {"Top": 1, "Top/C0": 9}
+    vectors = [UsageVector(f"u{i}", profile, 10) for i in range(10)]
+    directories = [CommunityDirectory(Community((v.user,), profile, 10), {"Top": 1.0}, 0.5)
+                   for v in vectors]
+    report = build_report(tax, directories, vectors)
+    assert [(r["shrinkage"], r["coverage"]) for r in report["communities"]] == [(0.1, 0.1)] * 10
+    assert (report["averages"]["shrinkage"], report["averages"]["coverage"]) == (0.1, 0.1)
 
 
 def test_report_overlap_pairs(fixture_taxonomy):

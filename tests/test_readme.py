@@ -44,7 +44,7 @@ def removed_names():
     """The names each bullet of "Removed names" gives before its colon."""
     removed = section("Library").split("\n### Removed names\n", 1)[1]
     bullets = re.split(r"\n- ", removed)[1:]
-    return [name for b in bullets for name in _NAME.findall(re.split(r":\s", b, 1)[0])]
+    return [name for b in bullets for name in _NAME.findall(re.split(r":\s", b, maxsplit=1)[0])]
 
 
 def defining_module(name):

@@ -10,6 +10,10 @@ membership and the triples, no faster than the two together.
 
 ``report_text`` must grow with the communities alone: on a Moon-Moser log
 (``tests/loggen.py``) nearly every pair of its cliques overlaps.
+
+``cluster`` must profile each community from its own members' vectors, so
+the vectors it hands ``community_profile`` number the total membership,
+not the communities times the users.
 """
 
 import pathlib
@@ -18,6 +22,7 @@ import tracemalloc
 
 import pytest
 
+from commdir import cli, community
 from commdir.classify import build_usage_vectors
 from commdir.cli import read_records
 from commdir.clf import filter_records
@@ -124,3 +129,22 @@ def test_report_text_grows_with_communities_not_overlapping_pairs(tmp_path):
     report = build_report(tax, directories, vectors)
     assert (len(cliques), len(report["overlap"])) == (243, 25_515)
     assert len(report_text(report).splitlines()) <= len(cliques) + FIXED_REPORT_LINES
+
+
+def test_cluster_profiles_each_community_from_its_members(tmp_path, capsys, monkeypatch):
+    wl = gen.WORKLOADS["overlap-cliques"]
+    files, _ = gen.generate(wl.name, 1, str(tmp_path), {"users": SCALES[0]})
+    members, passed = [], []
+
+    def counting_profile(m, vectors):
+        vectors = list(vectors)
+        members.append(len(m))
+        passed.append(len(vectors))
+        return community_profile(m, vectors)
+
+    monkeypatch.setattr(community, "community_profile", counting_profile)
+    assert cli.main(["cluster", files["log"], "--taxonomy", files["taxonomy"],
+                     "--out", str(tmp_path / "out"), *wl.cluster_flags]) == 0
+    # Handing every community all 300 vectors passes 470 x 300 = 141,000.
+    assert (len(members), sum(members)) == (470, 15 * SCALES[0])
+    assert sum(passed) == sum(members)
