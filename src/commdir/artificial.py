@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .community import threshold_join
 from .taxonomy import ROOT, Taxonomy, make_taxonomy
@@ -36,10 +36,12 @@ class SiteProfile:
     hits: int
 
 
-def profile_sites(refs: Iterable[PageRef]) -> list[SiteProfile]:
+def profile_sites(refs: Iterable[PageRef] | Mapping[PageRef, int]) -> list[SiteProfile]:
     """One profile per non-local site, sorted by site name; local pages skipped.
 
-    Each distinct reference is tokenized once, its token counts scaled by its hits.
+    ``refs`` holds one reference per hit, or is a Counter of each reference's
+    hits. Each distinct reference is tokenized once, its token counts scaled
+    by its hits.
     """
     tokens: defaultdict[str, Counter] = defaultdict(Counter)
     hits: Counter = Counter()

@@ -1,17 +1,22 @@
 """Map page references onto taxonomy categories; aggregate per-user usage vectors.
 
-A page lands in the deepest category whose keyword set shares a token with
-the page's tokens (ties: larger overlap, then lexicographically smallest
-path); pages matching nothing land in the ``unspecified`` bucket. Usage
-vectors count hits per category for one user, identified as
-``authuser@host`` when an authenticated user was logged, else ``host``.
+A page of a site that the taxonomy lists, as the last segment of a category
+path (``Top/News/www.example.com``), lands in that category, the deepest
+such one, then the lexicographically smallest. Every other page, local
+pages included, lands in the deepest category whose keyword set shares a
+token with the page's tokens (ties: larger overlap, then lexicographically
+smallest path); pages matching nothing land in the ``unspecified`` bucket.
+So under an artificial taxonomy, which lists each site under its cluster,
+a site's pages go to its own node. Usage vectors count hits per category
+for one user, identified as ``authuser@host`` when an authenticated user
+was logged, else ``host``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .clf import LogRecord
 from .taxonomy import Taxonomy, depth
@@ -34,7 +39,11 @@ def user_key(rec: LogRecord) -> str:
 
 
 def classify_page(ref: PageRef, tax: Taxonomy) -> str:
-    """Category path for a page reference, or UNSPECIFIED on no keyword hit."""
+    """Category path for a page reference: its listed site's category, else
+    the best keyword match, else UNSPECIFIED."""
+    listed = tax.site_index.get(ref.site)
+    if listed is not None:
+        return listed
     index = tax.keyword_index
     overlap: dict[str, int] = {}
     for token in tokenize(ref):  # distinct tokens; multiplicity does not matter here
@@ -45,24 +54,30 @@ def classify_page(ref: PageRef, tax: Taxonomy) -> str:
     return min(overlap, key=lambda p: (-depth(p), -overlap[p], p))
 
 
-def build_usage_vectors(records: Iterable[LogRecord], tax: Taxonomy) -> list[UsageVector]:
-    """One usage vector per distinct user, sorted by user id.
+def count_usage(hits: Mapping[tuple[str, str], int], tax: Taxonomy) -> list[UsageVector]:
+    """One usage vector per distinct user, sorted by user id, from the hit
+    count of each (user, resource) pair.
 
-    Records should already be policy-filtered. Every record contributes one
-    count: to its page's category, or to UNSPECIFIED. Each distinct resource
-    is classified once.
+    Each hit counts to its page's category, or to UNSPECIFIED. Each distinct
+    resource is classified once.
     """
     category: dict[str, str] = {}
-    per_user: dict[str, Counter] = defaultdict(Counter)
-    for rec in records:
-        resource = rec.resource
+    per_user: dict[str, dict[str, int]] = {}
+    for (user, resource), n in hits.items():
         if resource not in category:
             category[resource] = classify_page(extract_page_ref(resource), tax)
-        per_user[user_key(rec)][category[resource]] += 1
+        counts = per_user.setdefault(user, {})
+        path = category[resource]
+        counts[path] = counts.get(path, 0) + n
     return [
         UsageVector(user, dict(sorted(counts.items())), sum(counts.values()))
         for user, counts in sorted(per_user.items())
     ]
+
+
+def build_usage_vectors(records: Iterable[LogRecord], tax: Taxonomy) -> list[UsageVector]:
+    """``count_usage`` over policy-filtered records, one hit per record."""
+    return count_usage(Counter((user_key(rec), rec.resource) for rec in records), tax)
 
 
 def usage_vectors_tsv(vectors: Iterable[UsageVector]) -> str:

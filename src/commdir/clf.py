@@ -89,6 +89,10 @@ class FilterPolicy:
     methods: frozenset[str] = frozenset({"GET"})
     status_classes: frozenset[int] = frozenset({2})
 
+    def keeps(self, rec: LogRecord) -> bool:
+        """Whether the policy counts ``rec`` as a page fetch."""
+        return rec.method in self.methods and rec.status // 100 in self.status_classes
+
 
 DEFAULT_POLICY = FilterPolicy()
 
@@ -237,11 +241,7 @@ def parse_stream(source: Iterable[str]) -> Iterator[ParseOutcome]:
 def filter_records(records: Iterable[LogRecord],
                    policy: FilterPolicy = DEFAULT_POLICY) -> Iterator[LogRecord]:
     """Keep records whose method and status class both match the policy."""
-    methods = policy.methods
-    classes = policy.status_classes
-    for rec in records:
-        if rec.method in methods and rec.status // 100 in classes:
-            yield rec
+    return filter(policy.keeps, records)
 
 
 def format_record(rec: LogRecord) -> str:

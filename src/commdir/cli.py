@@ -27,6 +27,7 @@ from typing import IO, Iterator
 from . import artificial, clf, community, metrics
 from . import classify as classify_mod
 from . import taxonomy as taxonomy_mod
+from .classify import user_key
 from .clf import FilterPolicy, LogRecord
 from .urls import extract_page_ref
 
@@ -107,7 +108,12 @@ def _read_log(path: str, errors: Counter) -> Iterator[LogRecord]:
 
 def read_records(path: str) -> tuple[list[LogRecord], Counter]:
     """Parse a CLF log, plain or gzip: its records, and a Counter of the
-    reasons its other lines were rejected."""
+    reasons its other lines were rejected.
+
+    No command reads a log through it: it stays only for
+    ``perfbench/traced.py`` and ``tests/reference.py``, until the benchmark
+    runs ``main`` (ROADMAP item 1).
+    """
     errors: Counter = Counter()
     return list(_read_log(path, errors)), errors
 
@@ -128,18 +134,39 @@ def _policy_from_args(args) -> FilterPolicy:
     return FilterPolicy(methods=methods, status_classes=classes)
 
 
-def _read_input(args) -> tuple[FilterPolicy, list[LogRecord], Counter, int]:
-    """Read ``args.input`` and apply the policy flags: (policy, records it
-    keeps, parse-error Counter, number of records it removed). Raises
+def _read_input(args) -> tuple[FilterPolicy, dict[tuple[str, str], int], Counter, int]:
+    """Read ``args.input`` and apply the policy flags: (policy, hit count of
+    each (user, resource) pair it keeps, parse-error Counter, number of
+    records it removed). No record is held once it is counted. Raises
     NoRecordsError, saying what was read, when it keeps none."""
     policy = _policy_from_args(args)
-    records, errors = read_records(args.input)
-    kept = list(clf.filter_records(records, policy))
-    filtered_out = len(records) - len(kept)
-    if not kept:
+    keeps = policy.keeps
+    hits: dict[tuple[str, str], int] = {}
+    errors: Counter = Counter()
+    filtered_out = 0
+    for rec in _read_log(args.input, errors):
+        if keeps(rec):
+            key = (user_key(rec), rec.resource)
+            hits[key] = hits.get(key, 0) + 1
+        else:
+            filtered_out += 1
+    if not hits:
         raise NoRecordsError(f"no records to mine: {_by_reason(errors, 'lines rejected')}, "
                              f"{filtered_out} filtered out")
-    return policy, kept, errors, filtered_out
+    return policy, hits, errors, filtered_out
+
+
+def _page_hits(hits: dict[tuple[str, str], int]) -> Counter:
+    """PageRef -> hits, from the hits of (user, resource) pairs; each
+    distinct resource is extracted once."""
+    per_resource: dict[str, int] = {}
+    for (_, resource), n in hits.items():
+        per_resource[resource] = per_resource.get(resource, 0) + n
+    refs: Counter = Counter()
+    for resource, n in per_resource.items():
+        ref = extract_page_ref(resource)
+        refs[ref] = refs.get(ref, 0) + n
+    return refs
 
 
 def _by_reason(errors: Counter, what: str) -> str:
@@ -152,11 +179,18 @@ def cmd_parse(args) -> int:
     records = 0
     errors: Counter = Counter()
     sys.stdout.flush()
-    # open_log decodes latin-1, so each line goes out in the bytes it came in.
-    with atomic_writer(args.out) if args.out else contextlib.nullcontext(sys.stdout.buffer) as out:
+    # open_log decodes latin-1, so each line goes out in the bytes it came in;
+    # a text-only stdout, such as a StringIO, takes the decoded lines as they are.
+    if args.out:
+        sink, binary = atomic_writer(args.out), True
+    else:
+        binary = hasattr(sys.stdout, "buffer")
+        sink = contextlib.nullcontext(sys.stdout.buffer if binary else sys.stdout)
+    with sink as out:
         for record in _read_log(args.log, errors):
             records += 1
-            out.write(f"{clf.format_record(record)}\n".encode("latin-1"))
+            line = f"{clf.format_record(record)}\n"
+            out.write(line.encode("latin-1") if binary else line)
         out.flush()  # so that a closed stdout fails here, inside main
         if not records:  # raised in the block, so no --out file is left
             raise NoRecordsError(f"no records parsed: {sum(errors.values())} lines read, "
@@ -167,17 +201,16 @@ def cmd_parse(args) -> int:
 
 
 def cmd_sites(args) -> int:
-    refs = [extract_page_ref(r.resource) for r in _read_input(args)[1]]
     site_hits: Counter = Counter()
     local = 0
     dir_hits: Counter = Counter()
-    for ref in refs:
+    for ref, n in _page_hits(_read_input(args)[1]).items():
         if ref.site is None:
-            local += 1
+            local += n
             continue
-        site_hits[ref.site] += 1
+        site_hits[ref.site] += n
         if args.dirs and ref.directories:
-            dir_hits[(ref.site, "/".join(ref.directories))] += 1
+            dir_hits[(ref.site, "/".join(ref.directories))] += n
     for site, hits in sorted(site_hits.items(), key=lambda kv: (-kv[1], kv[0])):
         print(f"{site}\t{hits}")
     if args.dirs and dir_hits:
@@ -190,7 +223,7 @@ def cmd_sites(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    policy, kept, parse_errors, filtered_out = _read_input(args)
+    policy, hits, parse_errors, filtered_out = _read_input(args)
     methods, status = _policy_flags(policy)
 
     parameters = {
@@ -206,8 +239,7 @@ def cmd_cluster(args) -> int:
     outputs: dict[str, str] = {}
     if args.artificial:
         parameters["sigma"] = args.sigma
-        refs = [extract_page_ref(r.resource) for r in kept]
-        profiles = artificial.profile_sites(refs)
+        profiles = artificial.profile_sites(_page_hits(hits))
         partition = artificial.cluster_sites(profiles, args.sigma)
         tax = artificial.build_artificial_directory(partition, profiles)
         outputs["artificial-taxonomy.tsv"] = taxonomy_mod.serialize_taxonomy(tax)
@@ -215,7 +247,7 @@ def cmd_cluster(args) -> int:
         with _about(f"taxonomy {args.taxonomy}"):
             tax = taxonomy_mod.load_taxonomy(args.taxonomy)
 
-    vectors = classify_mod.build_usage_vectors(kept, tax)
+    vectors = classify_mod.count_usage(hits, tax)
     graph = community.build_graph(vectors, args.tau)
     member_sets = community.find_communities(
         graph, min_size=args.min_size, keep_singletons=args.keep_singletons)

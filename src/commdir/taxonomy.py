@@ -92,6 +92,17 @@ class Taxonomy:
                 index.setdefault(kw, []).append(path)
         return {kw: tuple(ps) for kw, ps in index.items()}
 
+    @cached_property
+    def site_index(self) -> dict[str, str]:
+        """last path segment -> the deepest category ending in it, then the smallest path.
+
+        A category named after a site lists that site: ``Top/News/www.example.com``.
+        """
+        index: dict[str, str] = {}
+        for path in sorted(self._categories, key=lambda p: (-depth(p), p)):
+            index.setdefault(path.rpartition("/")[2], path)
+        return index
+
     def walk(self, within: Iterable[str] | None = None) -> Iterator[tuple[str, int]]:
         """Depth-first preorder of (path, depth), children in path order.
 

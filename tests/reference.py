@@ -4,7 +4,8 @@ definitions rather than from the program.
 Only the log reader is shared with ``src/``: everything after it (page
 references, classification, usage vectors, the similarity graph, maximal
 cliques, pruned directories and the report) is restated here in its plainest
-form. Edges are decided exactly, in integers: cos(a, b) >= tau holds iff
+form. A page of a site that the taxonomy lists, as a path's last segment,
+is classified by that listing, and any other page by its keywords. Edges are decided exactly, in integers: cos(a, b) >= tau holds iff
 dot² · den >= num · |a|² · |b|², where num/den is tau squared and tau is the
 decimal text given to ``--tau`` (so "0.4" means 2/5). Cliques are found by
 trying every subset of users, so a log may have at most 8 users.
@@ -59,30 +60,41 @@ def is_hostname(segment):
         for label in labels)
 
 
-def page_tokens(resource):
-    """The distinct tokens of a logged resource: query dropped, lowercased; the
-    site's labels less a leading "www" and the last label, the directories,
-    and the page name less its extension."""
+def split_resource(resource):
+    """(site or None, directories, page) of a logged resource: query dropped,
+    lowercased, the first segment the site when it is a hostname."""
     path = resource.split("?")[0].split("#")[0].lower()
     while path.startswith("/"):
         path = path[1:]
     segments = path.split("/")
-    labels = []
+    site = None
     if is_hostname(segments[0]):
-        labels = segments[0].split(".")
-        if labels[0] == "www":
-            labels = labels[1:]
-        labels = labels[:-1]
-        segments = segments[1:]
-    directories = segments[:-1]
-    page = segments[-1] if segments else ""
+        site, segments = segments[0], segments[1:]
+    return site, segments[:-1], segments[-1] if segments else ""
+
+
+def page_tokens(resource):
+    """The distinct tokens of a logged resource: the site's labels less a
+    leading "www" and the last label, the directories, and the page name
+    less its extension."""
+    site, directories, page = split_resource(resource)
+    labels = site.split(".") if site else []
+    if labels[:1] == ["www"]:
+        labels = labels[1:]
     stem = page.rsplit(".", 1)[0]
-    return set(re.findall("[a-z0-9]+", " ".join(labels + directories + [stem])))
+    return set(re.findall("[a-z0-9]+", " ".join(labels[:-1] + directories + [stem])))
 
 
 def classify(resource, taxonomy):
-    """The deepest category sharing a keyword with the page; ties go to the
-    larger overlap, then the smaller path. UNSPECIFIED when none shares one."""
+    """A page of a site that a category is named after (its path's last
+    segment) goes to the deepest such category, then the smaller path. Any
+    other page goes to the deepest category sharing a keyword with it; ties
+    go to the larger overlap, then the smaller path. UNSPECIFIED when none
+    shares one."""
+    site = split_resource(resource)[0]
+    listed = [(-path.count("/"), path) for path in taxonomy if path.split("/")[-1] == site]
+    if listed:
+        return min(listed)[1]
     tokens = page_tokens(resource)
     matches = [(-path.count("/"), -len(tokens & keywords), path)
                for path, (keywords, _) in taxonomy.items() if tokens & keywords]

@@ -3,6 +3,7 @@ import random
 from collections import Counter, defaultdict
 
 from commdir import classify
+from commdir.artificial import build_artificial_directory, profile_sites
 from commdir.classify import (
     UNSPECIFIED,
     build_usage_vectors,
@@ -265,3 +266,56 @@ def test_usage_vectors_classify_each_resource_once(sample_records, fixture_taxon
     build_usage_vectors(records, fixture_taxonomy)
     assert calls == Counter({r.resource for r in records})
     assert classified == len(calls)
+
+
+def test_page_of_a_site_in_a_two_site_cluster_goes_to_its_own_node():
+    # Every page of both sites holds the tokens a1..a5, which sort before the
+    # site labels, so both nodes get exactly these five keywords: by keywords
+    # alone, a page of www.bbb.org ties with the smaller path, www.aaa.org.
+    pages = ["/www.aaa.org/a1/a2/a3/a4/a5.html", "/www.bbb.org/a1/a2/a3/a4/a5.html"]
+    profiles = profile_sites(extract_page_ref(p) for p in pages)
+    tax = build_artificial_directory([("www.aaa.org", "www.bbb.org")], profiles)
+    nodes = ["Top/Cluster-1/www.aaa.org", "Top/Cluster-1/www.bbb.org"]
+    assert [tax.categories[n].keywords for n in nodes] == [{"a1", "a2", "a3", "a4", "a5"}] * 2
+    assert [classify_page(extract_page_ref(p), tax) for p in pages] == nodes
+    records = [LogRecord("10.0.0.1", None, None, "10/Oct/2000:13:55:36 -0700", "GET", p,
+                         "HTTP/1.0", 200, None) for p in pages[1:] * 3]
+    assert [(v.user, v.counts) for v in build_usage_vectors(records, tax)] == \
+        [("10.0.0.1", {nodes[1]: 3})]
+
+
+def test_listed_site_goes_to_its_category_over_a_deeper_keyword_match():
+    tax = load_taxonomy(io.StringIO(
+        "Top/News/www.example.com\n"
+        "Top/Arts/Music/Jazz\texample,jazz\n"))
+    ref = extract_page_ref("/www.example.com/jazz/example.html")
+    assert brute_force_classify(ref, tax) == "Top/Arts/Music/Jazz"
+    assert classify_page(ref, tax) == "Top/News/www.example.com"
+
+
+def test_local_pages_and_unlisted_sites_keep_the_keyword_rule():
+    tax = load_taxonomy(io.StringIO(
+        "Top/News/www.example.com\tsport\n"
+        "Top/Sport/Football/Results\tsport\n"
+        "Top/Upper/WWW.EXAMPLE.ORG\n"))
+    assert classify_page(extract_page_ref("/www.example.com/sport/x.html"), tax) == \
+        "Top/News/www.example.com"
+    for resource in ["/sport/x.html",                     # local page
+                     "/example.com/sport/x.html",         # a part of a listed name
+                     "/www.example.com.au/sport/x.html",  # a listed name and more
+                     "/www.example.org/sport/x.html",     # listed in another case
+                     "/www.other.com/sport/x.html"]:
+        ref = extract_page_ref(resource)
+        assert classify_page(ref, tax) == brute_force_classify(ref, tax) == \
+            "Top/Sport/Football/Results", resource
+    assert classify_page(extract_page_ref("/www.other.com/"), tax) == UNSPECIFIED
+
+
+def test_site_listed_twice_goes_to_the_deepest_then_the_smallest_path():
+    tax = load_taxonomy(io.StringIO(
+        "Top/A/www.x.com\n"
+        "Top/B/D/www.x.com\n"
+        "Top/B/C/www.x.com\n"
+        "Top/www.x.com\n"))
+    assert classify_page(extract_page_ref("/www.x.com/a.html"), tax) == "Top/B/C/www.x.com"
+    assert tax.site_index["www.x.com"] == "Top/B/C/www.x.com"

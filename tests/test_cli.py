@@ -1,6 +1,8 @@
+import contextlib
 import errno
 import fnmatch
 import gzip
+import io
 import json
 import math
 import os
@@ -107,6 +109,19 @@ def test_parse_to_stdout(capsys, sample_log_path):
     assert code == 0
     assert stdout == sample_log_path.read_text()
     assert "13 records" in stderr
+
+
+def test_parse_to_a_text_only_stdout(tmp_path, capsys, sample_log_path):
+    # A library caller may redirect stdout to a stream that has no binary buffer.
+    log = tmp_path / "access.log"
+    log.write_bytes(sample_log_path.read_bytes()
+                    + b'10.0.0.1 - - [10/Oct/2000:13:55:36 -0700] "GET /caf\xe9.html HTTP/1.0" 200 1\n')
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["parse", str(log)])
+    assert code == 0
+    assert out.getvalue() == log.read_bytes().decode("latin-1")
+    assert "14 records" in capsys.readouterr().err
 
 
 def test_sites_matches_golden(capsys, sample_log_path, data_dir):

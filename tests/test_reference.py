@@ -1,4 +1,5 @@
-"""``commdir cluster --taxonomy`` against the reference pipeline of reference.py."""
+"""``commdir cluster --taxonomy`` against the reference pipeline of reference.py,
+on random taxonomies, and on random taxonomies that list sites the logs visit."""
 
 import json
 import random
@@ -60,13 +61,37 @@ def random_log(rng):
     return "\n".join(lines) + "\n"
 
 
-def test_cluster_matches_reference_pipeline(tmp_path, capsys):
-    rng = random.Random(2012)
-    seen = {"communities": 0, "overlaps": 0, "zero": 0, "unspecified": 0}
-    for case in range(150):
+def listing_taxonomy(rng):
+    """A random taxonomy that also lists sites the logs visit, as the last
+    segment of a path, some of them twice and some in the wrong case."""
+    lines, sites = random_taxonomy(rng).splitlines(), []
+    for _ in range(rng.randint(1, 5)):
+        if sites and rng.random() < 0.5:
+            site = rng.choice(sites)
+        else:
+            words = rng.sample(_WORDS, 2)
+            site = rng.choice([f"www.{words[0]}.com", f"{words[0]}.{words[1]}.org",
+                               f"www.{words[0]}", f"www.{words[0]}.co.uk"])
+            if rng.random() < 0.1:
+                site = site.upper()
+        sites.append(site)
+        # Two parents at each depth below the root, so that a twice-listed site
+        # often ties on depth.
+        path = "/".join(["Top", rng.choice(["", "arts/", "tech/", "arts/web/", "tech/web/"]) + site])
+        if any(line.split("\t")[0] == path for line in lines):
+            continue
+        lines.append(f"{path}\t{','.join(rng.sample(_WORDS, rng.randint(0, 2)))}")
+    return "\n".join(lines) + "\n"
+
+
+def check_cases(tmp_path, capsys, rng, cases, taxonomy):
+    """Run ``cases`` random logs through ``cluster`` and the reference, with
+    a taxonomy drawn by ``taxonomy(rng)``; how often each kind of output showed."""
+    seen = {"communities": 0, "overlaps": 0, "zero": 0, "unspecified": 0, "listed": 0}
+    for case in range(cases):
         log, tax = tmp_path / f"{case}.log", tmp_path / f"{case}.tsv"
         log.write_text(random_log(rng))
-        tax.write_text(random_taxonomy(rng))
+        tax.write_text(taxonomy(rng))
         tau = rng.choice(["0", "0.25", "0.4", "0.5", "0.75", "1"])
         theta = rng.choice(["0", "0.1", "0.5"])
         min_size = rng.randint(1, 3)
@@ -87,4 +112,18 @@ def test_cluster_matches_reference_pipeline(tmp_path, capsys):
         seen["overlaps"] += len(report["overlap"])
         seen["zero"] += report["zero_communities"]
         seen["unspecified"] += "\tunspecified\t" in expected["usage-vectors.tsv"]
+        # Only a site's name puts a dot in a category of these taxonomies.
+        seen["listed"] += any("." in line.split("\t")[1].rsplit("/", 1)[-1]
+                              for line in expected["usage-vectors.tsv"].splitlines())
+    return seen
+
+
+def test_cluster_matches_reference_pipeline(tmp_path, capsys):
+    seen = check_cases(tmp_path, capsys, random.Random(2012), 150, random_taxonomy)
+    del seen["listed"]
+    assert min(seen.values()) > 10, seen
+
+
+def test_cluster_matches_reference_pipeline_on_listed_sites(tmp_path, capsys):
+    seen = check_cases(tmp_path, capsys, random.Random(2013), 100, listing_taxonomy)
     assert min(seen.values()) > 10, seen

@@ -14,6 +14,10 @@ membership and the triples, no faster than the two together.
 ``cluster`` must profile each community from its own members' vectors, so
 the vectors it hands ``community_profile`` number the total membership,
 not the communities times the users.
+
+``cluster`` must read its log into a count per distinct (user, resource)
+pair, holding no record once counted, so the traced peak of its ingest
+stays put while the lines grow and those pairs do not.
 """
 
 import pathlib
@@ -34,7 +38,7 @@ from commdir.taxonomy import load_taxonomy
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
-from loggen import moon_moser_log  # noqa: E402
+from loggen import moon_moser_log, write_bulk_log  # noqa: E402
 
 SCALES = (300, 600, 1_200)
 # A measured figure may grow up to 25% faster than its bound before a gate
@@ -148,3 +152,32 @@ def test_cluster_profiles_each_community_from_its_members(tmp_path, capsys, monk
     # Handing every community all 300 vectors passes 470 x 300 = 141,000.
     assert (len(members), sum(members)) == (470, 15 * SCALES[0])
     assert sum(passed) == sum(members)
+
+
+# Measured growth of the peak for 4x the lines: 0.9x when the pairs are
+# counted (1.02 -> 0.95 MB), 4.0x when every record is held (4.0 -> 16.0 MB).
+INGEST_GROWTH = 1.5
+
+
+def ingest_peak(log):
+    """Traced peak of ``cluster``'s ingest: reading and filtering ``log``."""
+    args = cli.build_parser().parse_args(["cluster", str(log), "--artificial"])
+    tracemalloc.start()
+    try:
+        cli._read_input(args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_peak_grows_with_distinct_pairs_not_lines(tmp_path):
+    # write_bulk_log cycles through 1,024 hosts and 4,096 resources, so from
+    # 4,096 lines on its log holds the same 4,096 (user, resource) pairs.
+    peaks, pairs = [], []
+    for lines in (10_000, 40_000):
+        log = tmp_path / f"{lines}.log"
+        write_bulk_log(log, lines)
+        pairs.append(len({(r.host, r.resource) for r in read_records(str(log))[0]}))
+        peaks.append(ingest_peak(log))
+    assert pairs == [4_096, 4_096]
+    assert peaks[1] < INGEST_GROWTH * peaks[0], peaks

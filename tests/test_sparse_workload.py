@@ -2,14 +2,16 @@
 
 The CLI clusters a generated gzip log the way the benchmark invokes it, the
 output passes the benchmark's checks, and on the same records both
-similarity joins equal the all-pairs oracle.
+similarity joins equal the all-pairs oracle. Every page of the workload is
+a site's, and each hit is booked to its own site's node.
 """
 
 import pathlib
 import sys
+from collections import Counter
 
 from commdir.artificial import _jaccard, build_artificial_directory, cluster_sites, profile_sites
-from commdir.classify import build_usage_vectors
+from commdir.classify import build_usage_vectors, user_key
 from commdir.cli import main, read_records
 from commdir.clf import DEFAULT_POLICY, filter_records
 from commdir.community import build_graph, threshold_join
@@ -49,3 +51,18 @@ def test_sparse_artificial_cli_run_and_joins_match_oracle(tmp_path):
     users = all_pairs_join({v.user: v for v in vectors}, similarity, tau)
     assert any(users.values())
     assert build_graph(vectors, tau).adjacency == users
+
+
+def test_artificial_books_each_hit_to_its_own_sites_node(tmp_path):
+    wl = gen.WORKLOADS["sparse-artificial"]
+    files, _ = gen.generate(wl.name, 3, str(tmp_path / "in"), SPARSE)
+    out = tmp_path / "out"
+    assert main(["cluster", files["log"], "--out", str(out)] + list(wl.cluster_flags)) == 0
+    fetched = Counter((user_key(r), extract_page_ref(r.resource).site)
+                      for r in filter_records(read_records(files["log"])[0]))
+    booked = Counter()
+    for line in (out / "usage-vectors.tsv").read_text().splitlines():
+        user, category, n = line.split("\t")
+        assert category.count("/") == 2, line  # Top/Cluster-k/<site>
+        booked[user, category.rsplit("/", 1)[1]] += int(n)
+    assert booked == fetched
