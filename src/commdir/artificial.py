@@ -110,7 +110,7 @@ def build_artificial_directory(partition: Sequence[Sequence[str]],
     def block_key(block: Sequence[str]) -> tuple[int, str]:
         return (-sum(by_site[s].hits for s in block), min(block))
 
-    entries: dict[str, tuple[Iterable[str], float | None]] = {ROOT: ((), None)}
+    entries: dict[str, tuple[Iterable[str], float | None]] = {}
     for k, block in enumerate(sorted(partition, key=block_key), 1):
         cluster_tokens: Counter = Counter()
         for site in block:

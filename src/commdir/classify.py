@@ -49,9 +49,7 @@ def classify_page(ref: PageRef, tax: Taxonomy) -> str:
     for token in tokenize(ref):  # distinct tokens; multiplicity does not matter here
         for path in index.get(token, ()):
             overlap[path] = overlap.get(path, 0) + 1
-    if not overlap:
-        return UNSPECIFIED
-    return min(overlap, key=lambda p: (-depth(p), -overlap[p], p))
+    return min(overlap, key=lambda p: (-depth(p), -overlap[p], p), default=UNSPECIFIED)
 
 
 def count_usage(hits: Mapping[tuple[str, str], int], tax: Taxonomy) -> list[UsageVector]:

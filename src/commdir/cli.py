@@ -110,9 +110,9 @@ def read_records(path: str) -> tuple[list[LogRecord], Counter]:
     """Parse a CLF log, plain or gzip: its records, and a Counter of the
     reasons its other lines were rejected.
 
-    No command reads a log through it: it stays only for
-    ``perfbench/traced.py`` and ``tests/reference.py``, until the benchmark
-    runs ``main`` (ROADMAP item 1).
+    No command reads a log through it: its only callers are
+    ``perfbench/traced.py`` and the tests that pin what it reads there,
+    until the benchmark runs ``main`` (ROADMAP item 1).
     """
     errors: Counter = Counter()
     return list(_read_log(path, errors)), errors

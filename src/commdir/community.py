@@ -233,7 +233,7 @@ def build_community_directory(tax: Taxonomy, community: Community,
         for path in (*ancestors(cat), cat):
             hits[path] += n
     cats = tax.categories
-    scores = {path: cats[path].weight * (hits[path] / community.total)
+    scores = {path: cats[path].weight * (hits[path] / (community.total or 1))
               for path in (cats if theta == 0 else hits) if path in cats}
     selected: dict[str, float] = {}
     for path, score in scores.items():

@@ -181,21 +181,16 @@ def load_taxonomy(source: str | os.PathLike | IO[str]) -> Taxonomy:
         cols = line.split("\t")
         if len(cols) > 3:
             raise TaxonomyError(f"line {lineno}: more than 3 columns")
-        path = cols[0].strip()
+        path, keywords, weight = [c.strip() for c in cols] + [""] * (3 - len(cols))
         if not path:
             raise TaxonomyError(f"line {lineno}: empty category path")
         if path in entries:
             raise TaxonomyError(f"line {lineno}: duplicate path {path!r}")
-        keywords: tuple[str, ...] = ()
-        if len(cols) > 1 and cols[1].strip():
-            keywords = tuple(k.strip().lower() for k in cols[1].split(",") if k.strip())
-        weight: float | None = None
-        if len(cols) > 2 and cols[2].strip():
-            try:
-                weight = float(cols[2])
-            except ValueError:
-                raise TaxonomyError(f"line {lineno}: bad weight {cols[2]!r}") from None
-        entries[path] = (keywords, weight)
+        try:  # float() rejects the \x1c-\x1f that str.strip() drops: parse the column as written
+            weight = float(cols[2]) if weight else None
+        except ValueError:
+            raise TaxonomyError(f"line {lineno}: bad weight {cols[2]!r}") from None
+        entries[path] = (tuple(k.strip() for k in keywords.split(",") if k.strip()), weight)
     if not entries:
         raise TaxonomyError("taxonomy file has no categories")
     return make_taxonomy(entries)
@@ -211,12 +206,8 @@ def serialize_taxonomy(tax: Taxonomy) -> str:
     for path, _ in tax.walk():
         cat = tax.categories[path]
         kws = ",".join(sorted(cat.keywords))
-        if cat.explicit_weight:
-            lines.append(f"{path}\t{kws}\t{cat.weight!r}")
-        elif kws:
-            lines.append(f"{path}\t{kws}")
-        else:
-            lines.append(path)
+        weight = repr(cat.weight) if cat.explicit_weight else ""
+        lines.append(f"{path}\t{kws}\t{weight}".rstrip("\t"))
     return "\n".join(lines) + "\n"
 
 

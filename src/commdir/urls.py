@@ -48,14 +48,9 @@ def extract_page_ref(resource: str) -> PageRef:
     """
     path = strip_query(resource).lower().lstrip("/")
     segments = path.split("/")
-    if _HOSTNAME.match(segments[0]):
-        site, rest = segments[0], segments[1:]
-    else:
-        site, rest = None, segments
-    if not rest:
-        return PageRef(site, (), "")
-    directories = tuple(s for s in rest[:-1] if s)
-    return PageRef(site, directories, rest[-1])
+    site = segments[0] if _HOSTNAME.match(segments[0]) else None
+    *directories, page = (segments[1:] if site else segments) or [""]
+    return PageRef(site, tuple(s for s in directories if s), page)
 
 
 def tokenize(ref: PageRef) -> Counter:

@@ -1,18 +1,26 @@
-"""A reference ``commdir cluster --taxonomy`` for tiny logs, written from the
-definitions rather than from the program.
+"""A reference ``commdir cluster`` for tiny logs, with ``--taxonomy`` or
+``--artificial``, written from the definitions rather than from the program.
 
-Only the log reader is shared with ``src/``: everything after it (page
-references, classification, usage vectors, the similarity graph, maximal
+Only the log reader, ``clf.open_log`` and ``clf.parse_stream``, is shared
+with ``src/``: everything after it (page references, the artificial
+taxonomy, classification, usage vectors, the similarity graph, maximal
 cliques, pruned directories and the report) is restated here in its plainest
 form. A page of a site that the taxonomy lists, as a path's last segment,
-is classified by that listing, and any other page by its keywords. Edges are decided exactly, in integers: cos(a, b) >= tau holds iff
+is classified by that listing, and any other page by its keywords. Edges are
+decided exactly, in integers: cos(a, b) >= tau holds iff
 dot² · den >= num · |a|² · |b|², where num/den is tau squared and tau is the
 decimal text given to ``--tau`` (so "0.4" means 2/5). Cliques are found by
 trying every subset of users, so a log may have at most 8 users.
 
+The artificial taxonomy clusters the sites by single linkage over every
+pair of sites: two sites are linked when the Jaccard similarity of their
+token sets reaches sigma, decided exactly as inter · den >= num · union for
+sigma = num/den, and two sites without tokens have Jaccard 1.
+
 ``cluster`` returns the outputs a run should write, keyed by file name:
 ``report.json`` and ``community-NNN.json`` as parsed JSON values,
-``usage-vectors.tsv`` and ``communities.txt`` as text.
+``usage-vectors.tsv``, ``communities.txt`` and ``artificial-taxonomy.tsv`` as
+text.
 """
 
 import itertools
@@ -20,10 +28,24 @@ import math
 import re
 from fractions import Fraction
 
-from commdir.cli import read_records
+from commdir import clf
 
 UNSPECIFIED = "unspecified"
 MAX_USERS = 8
+KEYWORDS_PER_CATEGORY = 5
+
+
+def read_log(path):
+    """The records of a CLF log, and {reason: count} of the lines rejected."""
+    records, errors = [], {}
+    with clf.open_log(path) as f:
+        for outcome in clf.parse_stream(f):
+            if outcome.ok:
+                records.append(outcome.result)
+            else:
+                reason = outcome.result.reason.value
+                errors[reason] = errors.get(reason, 0) + 1
+    return records, errors
 
 
 def read_taxonomy(text):
@@ -74,7 +96,7 @@ def split_resource(resource):
 
 
 def page_tokens(resource):
-    """The distinct tokens of a logged resource: the site's labels less a
+    """The tokens of a logged resource, with repeats: the site's labels less a
     leading "www" and the last label, the directories, and the page name
     less its extension."""
     site, directories, page = split_resource(resource)
@@ -82,7 +104,7 @@ def page_tokens(resource):
     if labels[:1] == ["www"]:
         labels = labels[1:]
     stem = page.rsplit(".", 1)[0]
-    return set(re.findall("[a-z0-9]+", " ".join(labels[:-1] + directories + [stem])))
+    return re.findall("[a-z0-9]+", " ".join(labels[:-1] + directories + [stem]))
 
 
 def classify(resource, taxonomy):
@@ -95,10 +117,64 @@ def classify(resource, taxonomy):
     listed = [(-path.count("/"), path) for path in taxonomy if path.split("/")[-1] == site]
     if listed:
         return min(listed)[1]
-    tokens = page_tokens(resource)
+    tokens = set(page_tokens(resource))
     matches = [(-path.count("/"), -len(tokens & keywords), path)
                for path, (keywords, _) in taxonomy.items() if tokens & keywords]
     return min(matches)[2] if matches else UNSPECIFIED
+
+
+def top_tokens(counts):
+    """The five most frequent tokens, ties going to the smaller token."""
+    ranked = sorted(counts, key=lambda token: (-counts[token], token))
+    return ranked[:KEYWORDS_PER_CATEGORY]
+
+
+def similar_sites(a, b, sigma):
+    """Jaccard(a, b) >= sigma, decided in integers; two empty sets have Jaccard 1."""
+    inter, union = len(a & b), len(a | b)
+    if not union:
+        return 1 >= sigma
+    return inter * sigma.denominator >= sigma.numerator * union
+
+
+def artificial_taxonomy(records, sigma):
+    """The text of the taxonomy that ``--artificial`` builds from ``records``.
+
+    Each site's tokens are those of its pages, counted once per hit. Single
+    linkage puts two sites in one cluster when a chain of similar sites joins
+    them. The clusters are Top/Cluster-1, Top/Cluster-2, ..., numbered by
+    descending hits, ties going to the cluster whose smallest site is
+    smaller; each site is a child of its cluster. A cluster's keywords are
+    the top tokens of its sites' summed counts, a site's those of its own.
+    No weight is written, so each takes its depth default."""
+    hits, tokens = {}, {}
+    for rec in records:
+        site = split_resource(rec.resource)[0]
+        if site is None:
+            continue
+        hits[site] = hits.get(site, 0) + 1
+        counts = tokens.setdefault(site, {})
+        for token in page_tokens(rec.resource):
+            counts[token] = counts.get(token, 0) + 1
+    cluster_of = {site: frozenset([site]) for site in hits}
+    for a, b in itertools.combinations(sorted(hits), 2):
+        if similar_sites(set(tokens[a]), set(tokens[b]), sigma):
+            merged = cluster_of[a] | cluster_of[b]
+            for site in merged:
+                cluster_of[site] = merged
+    clusters = sorted(set(cluster_of.values()),
+                      key=lambda c: (-sum(hits[site] for site in c), min(c)))
+    keywords = {"Top": []}
+    for k, members in enumerate(clusters, 1):
+        summed = {}
+        for site in members:
+            for token, n in tokens[site].items():
+                summed[token] = summed.get(token, 0) + n
+        keywords[f"Top/Cluster-{k}"] = top_tokens(summed)
+        for site in members:
+            keywords[f"Top/Cluster-{k}/{site}"] = top_tokens(tokens[site])
+    return "".join(f"{path}\t{','.join(sorted(keywords[path]))}".rstrip("\t") + "\n"
+                   for path in sorted(keywords, key=lambda p: p.split("/")))
 
 
 def usage_vectors(records, taxonomy):
@@ -169,12 +245,18 @@ def text_tree(path, selected, level=0):
     return lines
 
 
-def cluster(log_path, taxonomy_text, tau, theta, min_size, keep_singletons):
+def cluster(log_path, taxonomy_text, tau, theta, min_size, keep_singletons, sigma=None):
     """The outputs of ``commdir cluster LOG --taxonomy TAX --tau TAU --theta
     THETA --min-size MIN_SIZE [--keep-singletons]`` under the default
-    policy (GET, status 2xx). ``tau`` and ``theta`` are the flags' text."""
-    records, errors = read_records(log_path)
+    policy (GET, status 2xx), or, given ``sigma`` (and no ``taxonomy_text``),
+    of ``--artificial --sigma SIGMA`` in place of ``--taxonomy``. ``tau``,
+    ``theta`` and ``sigma`` are the flags' text."""
+    records, errors = read_log(log_path)
     kept = [r for r in records if r.method == "GET" and 200 <= r.status <= 299]
+    outputs = {}
+    if sigma is not None:
+        taxonomy_text = outputs["artificial-taxonomy.tsv"] = \
+            artificial_taxonomy(kept, Fraction(sigma))
     taxonomy = read_taxonomy(taxonomy_text)
     vectors = usage_vectors(kept, taxonomy)
     users = sorted(vectors)
@@ -187,7 +269,6 @@ def cluster(log_path, taxonomy_text, tau, theta, min_size, keep_singletons):
     communities = sorted(tuple(sorted(c)) for c in maximal_cliques(users, edges)
                          if len(c) >= min_size or (keep_singletons and len(c) == 1))
 
-    outputs = {}
     rows, blocks = [], []
     for i, members in enumerate(communities, 1):
         profile = {}
@@ -214,11 +295,14 @@ def cluster(log_path, taxonomy_text, tau, theta, min_size, keep_singletons):
     all_hits = sum(n for counts in vectors.values() for n in counts.values())
     all_unspecified = sum(counts.get(UNSPECIFIED, 0) for counts in vectors.values())
     n = len(rows)
+    parameters = {
+        "keep_singletons": keep_singletons, "min_size": min_size,
+        "policy_methods": "GET", "policy_status": "2", "tau": float(tau),
+        "taxonomy_source": "file", "theta": float(theta)}
+    if sigma is not None:
+        parameters.update(taxonomy_source="artificial", sigma=float(sigma))
     outputs["report.json"] = {
-        "parameters": {
-            "keep_singletons": keep_singletons, "min_size": min_size,
-            "policy_methods": "GET", "policy_status": "2", "tau": float(tau),
-            "taxonomy_source": "file", "theta": float(theta)},
+        "parameters": parameters,
         "taxonomy_categories": len(taxonomy),
         "user_count": len(users),
         "community_count": n,

@@ -620,6 +620,13 @@ def test_directory_theta_zero_selects_everything(sample_records, fixture_taxonom
     assert set(cdir.selected) == set(fixture_taxonomy)
 
 
+def test_directory_of_a_community_without_hits_at_theta_zero_is_the_taxonomy(fixture_taxonomy):
+    com = community_profile(["u"], [UsageVector("u", {}, 0)])
+    cdir = build_community_directory(fixture_taxonomy, com, 0.0)
+    assert cdir.selected == dict.fromkeys(sorted(fixture_taxonomy), 0.0)
+    assert build_community_directory(fixture_taxonomy, com, 0.1).selected == {}
+
+
 def test_directory_impossible_theta_is_empty(fixture_taxonomy):
     com = Community(("u",), {"Top/Search": 1}, 1)
     cdir = build_community_directory(fixture_taxonomy, com, 1.0)

@@ -1,5 +1,6 @@
-"""``commdir cluster --taxonomy`` against the reference pipeline of reference.py,
-on random taxonomies, and on random taxonomies that list sites the logs visit."""
+"""``commdir cluster`` against the reference pipeline of reference.py: with
+``--taxonomy`` on random taxonomies, and on random taxonomies that list sites
+the logs visit; and with ``--artificial`` at sigmas from 0 to past 1."""
 
 import json
 import random
@@ -84,6 +85,15 @@ def listing_taxonomy(rng):
     return "\n".join(lines) + "\n"
 
 
+def assert_outputs(out, expected, case):
+    """The files in ``out``, report.txt aside, are those of ``expected``, and
+    each reads back as its value there."""
+    assert {p.name for p in out.iterdir()} - {"report.txt"} == set(expected), case
+    for name, value in expected.items():
+        text = (out / name).read_text()
+        assert (json.loads(text) if name.endswith(".json") else text) == value, (case, name)
+
+
 def check_cases(tmp_path, capsys, rng, cases, taxonomy):
     """Run ``cases`` random logs through ``cluster`` and the reference, with
     a taxonomy drawn by ``taxonomy(rng)``; how often each kind of output showed."""
@@ -102,11 +112,7 @@ def check_cases(tmp_path, capsys, rng, cases, taxonomy):
         assert main(argv + ["--keep-singletons"] * keep_singletons) == 0
         capsys.readouterr()
         expected = cluster(str(log), tax.read_text(), tau, theta, min_size, keep_singletons)
-        written = {p.name for p in out.iterdir()} - {"report.txt"}
-        assert written == set(expected), case
-        for name, value in expected.items():
-            text = (out / name).read_text()
-            assert (json.loads(text) if name.endswith(".json") else text) == value, (case, name)
+        assert_outputs(out, expected, case)
         report = expected["report.json"]
         seen["communities"] += report["community_count"]
         seen["overlaps"] += len(report["overlap"])
@@ -126,4 +132,31 @@ def test_cluster_matches_reference_pipeline(tmp_path, capsys):
 
 def test_cluster_matches_reference_pipeline_on_listed_sites(tmp_path, capsys):
     seen = check_cases(tmp_path, capsys, random.Random(2013), 100, listing_taxonomy)
+    assert min(seen.values()) > 10, seen
+
+
+def test_cluster_artificial_matches_reference_pipeline(tmp_path, capsys):
+    rng = random.Random(2014)
+    seen = {"clusters": 0, "merged": 0, "communities": 0, "unspecified": 0}
+    for case in range(150):
+        log = tmp_path / f"{case}.log"
+        log.write_text(random_log(rng))
+        sigma = rng.choice(["0", "0.2", "0.5", "1", "1.5"])
+        tau = rng.choice(["0", "0.25", "0.5", "1"])
+        theta = rng.choice(["0", "0.1", "0.5"])
+        min_size = rng.randint(1, 3)
+        keep_singletons = rng.random() < 0.5
+        out = tmp_path / f"out{case}"
+        argv = ["cluster", str(log), "--artificial", "--sigma", sigma, "--tau", tau,
+                "--theta", theta, "--min-size", str(min_size), "--out", str(out)]
+        assert main(argv + ["--keep-singletons"] * keep_singletons) == 0
+        capsys.readouterr()
+        expected = cluster(str(log), None, tau, theta, min_size, keep_singletons, sigma)
+        assert_outputs(out, expected, case)
+        tsv = expected["artificial-taxonomy.tsv"].splitlines()
+        clusters = sum(line.count("/") == 1 for line in tsv)
+        seen["clusters"] += clusters
+        seen["merged"] += sum(line.count("/") == 2 for line in tsv) > clusters
+        seen["communities"] += expected["report.json"]["community_count"]
+        seen["unspecified"] += "\tunspecified\t" in expected["usage-vectors.tsv"]
     assert min(seen.values()) > 10, seen

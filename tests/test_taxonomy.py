@@ -116,6 +116,17 @@ def test_explicit_weight_survives_default_recompute():
     assert tax.categories["Top/B/C"].weight == 1.0
 
 
+def test_missing_columns_are_empty_and_every_column_is_stripped():
+    tax = load_str("Top/A\t Foo , BAR ,,\t 0.5 \nTop/B\nTop/C\t\t\n")
+    a, b, c = (tax.categories[p] for p in ("Top/A", "Top/B", "Top/C"))
+    assert (a.keywords, a.weight, a.explicit_weight) == ({"foo", "bar"}, 0.5, True)
+    assert (b.keywords, b.weight, b.explicit_weight) == (frozenset(), 1.0, False)
+    assert (c.keywords, c.weight, c.explicit_weight) == (frozenset(), 1.0, False)
+    # str.strip() removes "\x1c", float() does not: the weight is parsed as written.
+    with pytest.raises(TaxonomyError, match=r"line 1: bad weight '\\x1c0\.5'"):
+        load_str("Top/A\tx\t\x1c0.5\n")
+
+
 def test_comments_and_blank_lines_ignored():
     tax = load_str("# header\n\nTop/A\tx\n  \n# tail\n")
     assert set(tax) == {"Top", "Top/A"}
@@ -298,6 +309,22 @@ _PATHS = st.lists(_field("aB#, \x0b\x85\u2028"), min_size=1, max_size=3).map(
 _KEYWORDS = st.lists(_field("aB# \x0b\x85\u2028"), max_size=2)
 
 
+def three_branch_serialize_taxonomy(tax):
+    """serialize_taxonomy as it was, with one line shape per kind of
+    category: the oracle of the one shape with its empty columns stripped."""
+    lines = []
+    for path, _ in tax.walk():
+        cat = tax.categories[path]
+        kws = ",".join(sorted(cat.keywords))
+        if cat.explicit_weight:
+            lines.append(f"{path}\t{kws}\t{cat.weight!r}")
+        elif kws:
+            lines.append(f"{path}\t{kws}")
+        else:
+            lines.append(path)
+    return "\n".join(lines) + "\n"
+
+
 @given(st.dictionaries(_PATHS, st.tuples(_KEYWORDS, st.none() | st.floats(0.0, 1.0)),
                        min_size=1, max_size=3))
 def test_every_taxonomy_make_taxonomy_accepts_reads_back(entries):
@@ -306,6 +333,7 @@ def test_every_taxonomy_make_taxonomy_accepts_reads_back(entries):
     except TaxonomyError:
         return
     text = serialize_taxonomy(tax)
+    assert text == three_branch_serialize_taxonomy(tax)
     # Read as a file is read: UTF-8 with universal newlines.
     again = load_taxonomy(io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8"))
     assert again.categories == tax.categories

@@ -65,8 +65,11 @@ def test_underscore_breaks_hostname_grammar():
 
 
 def test_trailing_slash_means_empty_page():
-    ref = extract_page_ref("/www.microsoft.com/")
-    assert (ref.site, ref.directories, ref.page) == ("www.microsoft.com", (), "")
+    # So does a site with nothing after it, behind one slash or two.
+    for resource, site in [("/www.microsoft.com/", "www.microsoft.com"),
+                           ("/www.microsoft.com", "www.microsoft.com"), ("//a.com", "a.com")]:
+        ref = extract_page_ref(resource)
+        assert (ref.site, ref.directories, ref.page) == (site, (), ""), resource
 
 
 def test_bare_slash_is_empty_local_ref():
@@ -123,6 +126,32 @@ def test_hostname_pattern_equals_label_loop():
         assert extract_page_ref(f"/{segment}/p").site == expected, repr(segment)
         sites += expected is not None
     assert 10_000 < sites < 90_000
+
+
+def old_extract_page_ref(resource):
+    """extract_page_ref as it was, with a branch for each kind of first
+    segment and an early return for a site with nothing after it."""
+    path = strip_query(resource).lower().lstrip("/")
+    segments = path.split("/")
+    if _is_hostname(segments[0]):
+        site, rest = segments[0], segments[1:]
+    else:
+        site, rest = None, segments
+    if not rest:
+        return PageRef(site, (), "")
+    directories = tuple(s for s in rest[:-1] if s)
+    return PageRef(site, directories, rest[-1])
+
+
+def test_extract_equals_branchy_reference():
+    rng = random.Random(30)
+    site_only = 0
+    for _ in range(20_000):
+        resource = "".join(rng.choices("//..?#-_aBzY09", k=rng.randint(0, 12)))
+        expected = old_extract_page_ref(resource)
+        assert extract_page_ref(resource) == expected, repr(resource)
+        site_only += expected.site is not None and "/" not in resource.lstrip("/")
+    assert site_only > 100
 
 
 @pytest.mark.parametrize("ref,expected", [
