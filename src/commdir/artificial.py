@@ -6,11 +6,11 @@ similarity of those token sets: a cluster is a connected component of the
 graph whose edges join the site pairs at least sigma-similar. The edges
 come from the same threshold join that links similar users, with each
 token weighted 1, so a dot product is the size of an intersection and a
-squared norm the size of a set; above sigma 0, only sites that share a
-token are scored, and two sites without tokens are linked. The
-result is a two-level taxonomy (cluster -> member sites) usable by every
-downstream stage, with top-token keyword summaries and depth-defaulted
-weights.
+squared norm the size of a set. Only sites that share a token are scored;
+token-less sites share a stand-in one, as Jaccard(∅, ∅) = 1. At sigma 0
+the partition is one block, found without the join. The result is a
+two-level taxonomy (cluster -> member sites) usable by every downstream
+stage, with top-token keyword summaries and depth-defaulted weights.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ def profile_sites(refs: Iterable[PageRef] | Mapping[PageRef, int]) -> list[SiteP
 
 def _jaccard(inter: int, na: int, nb: int) -> float:
     """Jaccard from the intersection size and the two set sizes."""
-    union = na + nb - inter
-    return inter / union if union else 1.0
+    return inter / (na + nb - inter)
 
 
 def cluster_sites(profiles: Sequence[SiteProfile], sigma: float = DEFAULT_SIGMA) -> list[tuple[str, ...]]:
@@ -65,12 +64,14 @@ def cluster_sites(profiles: Sequence[SiteProfile], sigma: float = DEFAULT_SIGMA)
 
     Clusters are the connected components of the >=sigma similarity graph,
     so the partition at a higher sigma always refines the one at a lower
-    sigma. Output is sorted tuples of sorted sites. sigma > 1 is allowed
-    and yields singletons.
+    sigma. Output is sorted tuples of sorted sites. sigma 0 gives one block
+    without scoring a pair; sigma > 1 is allowed and yields singletons.
     """
     if not sigma >= 0.0:
         raise ValueError(f"sigma must be >= 0: {sigma!r}")
-    adj = threshold_join({p.site: dict.fromkeys(p.tokens, 1) for p in profiles},
+    if sigma == 0:
+        return [tuple(sorted({p.site for p in profiles}))] if profiles else []
+    adj = threshold_join({p.site: dict.fromkeys(p.tokens or [None], 1) for p in profiles},
                          _jaccard, sigma)
     clusters: list[tuple[str, ...]] = []
     seen: set[str] = set()

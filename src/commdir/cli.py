@@ -68,11 +68,12 @@ def _about(what: str) -> Iterator[None]:
 def atomic_writer(path: str) -> Iterator[IO[bytes]]:
     """A binary file that replaces ``path`` when the block completes; on failure, nothing does.
 
-    File modes are those of ``open(path, "w")``: a new file gets ``0o666``
-    less the umask, and a replaced file keeps its mode.
+    Like ``open(path, "w")``, it writes through a symlink, a new file gets
+    ``0o666`` less the umask, and a replaced file keeps its mode.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    # realpath lstats each component of the path: only a link needs it.
+    target = os.path.realpath(path) if os.path.islink(path) else os.path.abspath(path)
+    tmp = os.path.join(os.path.dirname(target), f".tmp-{os.urandom(8).hex()}~")
     with _about(f"cannot write {path}"):
         # os.open, not mkstemp (always 0600), so the umask applies as with open().
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -81,8 +82,8 @@ def atomic_writer(path: str) -> Iterator[IO[bytes]]:
             yield f
         with _about(f"cannot write {path}"):
             with contextlib.suppress(FileNotFoundError):
-                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-            os.replace(tmp, path)
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

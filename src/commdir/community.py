@@ -2,16 +2,16 @@
 
 Users become vertices of a similarity graph (cosine over their usage
 vectors, thresholded at tau); the dot products come from one pass over a
-category -> (user, count) inverted index, so above tau 0 only users who
-share a category are scored, since any other pair scores 0. Communities
-are the maximal cliques of that graph, enumerated with Bron-Kerbosch
-pivoting, so communities may overlap. The search runs over twin classes,
-users with equal closed neighbourhoods, which always share their cliques:
-1,500 users with identical interests are one class and one search step.
-Each community's directory keeps the categories whose score, the product
-of a-priori category informativeness and the fraction of the community's
-hits falling inside the category's subtree, clears theta, plus all their
-ancestors so the result stays a rooted tree.
+category -> (user, count) inverted index, so only users who share a
+category are scored, since any other pair scores 0; tau 0 links all pairs
+unscored. Communities are the maximal cliques of that graph, enumerated
+with Bron-Kerbosch pivoting, so communities may overlap. The search runs
+over twin classes, users with equal closed neighbourhoods, which always
+share their cliques: 1,500 users with identical interests are one class
+and one search step. Each community's directory keeps the categories
+whose score, the product of a-priori category informativeness and the
+fraction of the community's hits falling inside the category's subtree,
+clears theta, plus all their ancestors so the result stays a rooted tree.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ def _cosine(dot: int, na: int, nb: int) -> float:
     """Cosine from a dot product and the two squared norms."""
     if dot == 0:
         return 0.0
-    # na*nb is an exact integer, so parallel vectors hit exactly 1.0.
-    return min(1.0, dot / math.sqrt(na * nb))
+    # na*nb is an exact integer, so parallel vectors hit exactly 1.0; a score
+    # rounded just past 1 decides every tau <= 1 as 1.0 does.
+    return dot / math.sqrt(na * nb)
 
 
 def threshold_join(weights: Mapping[str, Mapping[object, int]],
@@ -80,20 +81,15 @@ def threshold_join(weights: Mapping[str, Mapping[object, int]],
                    threshold: float) -> dict[str, set[str]]:
     """Adjacency of the id pairs whose score reaches threshold, keys in sorted order.
 
-    Each item is a {key: positive int} map. An inverted-index join: items are
+    Each item is a {key: int >= 0} map. An inverted-index join: items are
     visited in sorted-id order, and each one adds up its dot product with the
     earlier items from its keys' {id: weight} postings, then adds itself to
     them. A pair is linked when ``score(dot, |x|², |y|²) >= threshold``, so
     the cost grows with the posting entries scanned, not with all n(n-1)/2
-    pairs, when keys are sparse. Pairs that share no key are never scored:
-    they are linked only when both items are empty and ``score(0, 0, 0)``
-    reaches threshold. At threshold <= 0 every pair is linked unscored,
-    since no score is negative.
+    pairs, when keys are sparse. Pairs that share no key are never scored
+    nor linked, at any threshold: a caller whose rule links them states it.
     """
     ordered = sorted(weights)
-    if threshold <= 0:
-        everyone = set(ordered)
-        return {b: everyone - {b} for b in ordered}
     adj: dict[str, set[str]] = {b: set() for b in ordered}
     # Dict postings, not lists of (id, weight) tuples: an entry is no object
     # the garbage collector must track, so a large heap is not rescanned.
@@ -111,10 +107,6 @@ def threshold_join(weights: Mapping[str, Mapping[object, int]],
             if score(dot, norms[a], nb) >= threshold:
                 adj[a].add(b)
                 adj[b].add(a)
-    empty = {b for b in ordered if not weights[b]}
-    if len(empty) > 1 and score(0, 0, 0) >= threshold:
-        for b in empty:
-            adj[b] |= empty - {b}
     return adj
 
 
@@ -128,6 +120,9 @@ def build_graph(vectors: Iterable[UsageVector], tau: float = DEFAULT_TAU) -> Sim
         raise ValueError("duplicate user ids in vectors")
     if any(n < 0 for c in counts.values() for n in c.values()):
         raise ValueError("negative count in vectors")
+    if tau == 0:  # no count is negative, so no cosine is
+        everyone = set(counts)
+        return SimilarityGraph({u: everyone - {u} for u in sorted(counts)})
     return SimilarityGraph(threshold_join(counts, _cosine, tau))
 
 

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from commdir import artificial
 from commdir.artificial import (
     SiteProfile,
     _jaccard,
@@ -11,6 +12,7 @@ from commdir.artificial import (
     cluster_sites,
     profile_sites,
 )
+from commdir.community import threshold_join
 from commdir.taxonomy import ROOT, ancestors, depth, make_taxonomy
 from commdir.urls import extract_page_ref, tokenize
 
@@ -18,7 +20,7 @@ from commdir.urls import extract_page_ref, tokenize
 def jaccard(a, b):
     """Jaccard similarity of two sets, two empty sets counting as identical:
     the pairwise reference of the site-clustering oracles."""
-    return _jaccard(len(a & b), len(a), len(b))
+    return _jaccard(len(a & b), len(a), len(b)) if a or b else 1.0
 
 
 def profile(site, tokens, hits=1):
@@ -84,9 +86,21 @@ def test_jaccard_basics():
     assert jaccard({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
 
 
-def test_sigma_zero_merges_everything():
-    profiles = [profile("a.com", "xy"), profile("b.com", "pq"), profile("c.com", "z")]
+def test_sigma_zero_merges_everything(monkeypatch):
+    # Single linkage at sigma 0 is one block, so no pair is joined.
+    joins = []
+
+    def counting_join(*args):
+        joins.append(args)
+        return threshold_join(*args)
+
+    monkeypatch.setattr(artificial, "threshold_join", counting_join)
+    profiles = [profile("a.com", "xy"), profile("b.com", "pq"), profile("c.com", "")]
+    assert cluster_sites(profiles, 0.5) == [("a.com",), ("b.com",), ("c.com",)]
+    assert len(joins) == 1
     assert cluster_sites(profiles, 0.0) == [("a.com", "b.com", "c.com")]
+    assert cluster_sites([], 0.0) == []
+    assert len(joins) == 1
 
 
 def test_sigma_above_one_keeps_singletons():

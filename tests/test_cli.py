@@ -510,6 +510,24 @@ def test_taxonomy_update_keeps_what_a_flag_leaves_out(capsys, tmp_path, data_dir
     assert edit("update", "--keywords", "") == ["Top/News\t\t0.8"]
 
 
+def test_edits_and_outputs_write_through_a_symlink(capsys, tmp_path, data_dir, sample_log_path):
+    # As open(path, "w") does: the link stays a link and its target gets the text.
+    real, link = tmp_path / "real.tsv", tmp_path / "link.tsv"
+    shutil.copy(data_dir / "taxonomy.tsv", real)
+    link.symlink_to(real.name)
+    assert run(capsys, "taxonomy", "add", str(link), "Top/Zzz")[0] == 0
+    assert link.is_symlink()
+    assert "Top/Zzz" in real.read_text()
+    out = tmp_path / "records.log"
+    (tmp_path / "real.log").write_text("stale\n")
+    out.symlink_to("real.log")
+    assert run(capsys, "parse", str(sample_log_path), "--out", str(out))[0] == 0
+    assert out.is_symlink()
+    assert len((tmp_path / "real.log").read_text().splitlines()) == 13
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["link.tsv", "real.log", "real.tsv", "records.log"]
+
+
 @pytest.fixture
 def umask_022():
     old = os.umask(0o022)

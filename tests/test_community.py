@@ -4,11 +4,12 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from commdir import community as community_mod
-from commdir.artificial import _jaccard
+from commdir.artificial import SiteProfile, _jaccard, cluster_sites
 from commdir.classify import UNSPECIFIED, UsageVector, build_usage_vectors
 from commdir.community import (
     Community,
@@ -25,7 +26,7 @@ from commdir.community import (
 )
 from commdir.metrics import report_json
 from commdir.taxonomy import ROOT, ancestors, make_taxonomy
-from test_artificial import jaccard
+from test_artificial import jaccard, union_find_clusters
 from test_taxonomy import children_map
 
 
@@ -401,7 +402,13 @@ def test_cosine_join_matches_all_pairs_oracle():
                                     for c in rng.sample(cats, rng.randint(0, 3))}))
             for i in range(rng.randint(0, 16))))
         for tau in (0.0, rng.random(), 0.5, 0.8, 1.0):
-            assert_cosine_joins_equal(vectors, tau)
+            # tau 0 links every pair unscored in build_graph, not in the join.
+            adjacency = build_graph(vectors.values(), tau).adjacency
+            want = all_pairs_join(vectors, similarity, tau)
+            assert list(adjacency) == list(want)
+            assert adjacency == want
+            if tau > 0:
+                assert_cosine_joins_equal(vectors, tau)
 
 
 def test_jaccard_join_matches_all_pairs_oracle():
@@ -411,9 +418,14 @@ def test_jaccard_join_matches_all_pairs_oracle():
         sets = shuffled_dict(rng, (
             (f"s{i}.net", set(rng.sample("abcdefgh", rng.choice([0, 0, 1, 2, 3, 4]))))
             for i in range(rng.randint(0, 16))))
+        profiles = [SiteProfile(k, Counter(t), 1) for k, t in sets.items()]
         for sigma in (0.0, rng.random(), 0.5, 1.0, 1.5, 3.0):
-            assert_joins_equal({k: dict.fromkeys(t, 1) for k, t in sets.items()},
-                               _jaccard, sets, jaccard, sigma)
+            # sigma 0 is one block in cluster_sites, not a join; above it,
+            # the join gets cluster_sites' stand-in key for an empty set.
+            assert cluster_sites(profiles, sigma) == union_find_clusters(profiles, sigma)
+            if sigma > 0:
+                assert_joins_equal({k: dict.fromkeys(t or [None], 1) for k, t in sets.items()},
+                                   _jaccard, sets, jaccard, sigma)
 
 
 def test_join_when_every_user_shares_one_category():
@@ -427,7 +439,7 @@ def test_join_when_every_user_shares_one_category():
             assert_cosine_joins_equal(vectors, tau)
 
 
-def test_join_scores_only_pairs_that_share_a_key():
+def test_join_scores_only_pairs_that_share_a_key(monkeypatch):
     rng = random.Random(64)
     cats = [f"Top/C{i}" for i in range(120)]
     vectors = {f"u{i:03d}": vec(f"u{i:03d}", {c: rng.randint(1, 4)
@@ -447,10 +459,13 @@ def test_join_scores_only_pairs_that_share_a_key():
     assert got == all_pairs_join(vectors, similarity, 0.5)
     assert calls == sharing
     assert sharing < 300 * 299 // 2 // 10
+    # tau 0 links every pair, so build_graph scores none.
+    monkeypatch.setattr(community_mod, "_cosine", counting_cosine)
     calls = 0
-    got = threshold_join(counts, counting_cosine, 0.0)
-    assert got == all_pairs_join(vectors, similarity, 0.0)
+    assert build_graph(vectors.values(), 0.0).adjacency == all_pairs_join(vectors, similarity, 0.0)
     assert calls == 0
+    assert build_graph(vectors.values(), 0.5).adjacency == got
+    assert calls == sharing
 
 
 def test_build_graph_rejects_negative_counts():

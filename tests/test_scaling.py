@@ -18,15 +18,21 @@ not the communities times the users.
 ``cluster`` must read its log into a count per distinct (user, resource)
 pair, holding no record once counted, so the traced peak of its ingest
 stays put while the lines grow and those pairs do not.
+
+``cluster_sites`` at sigma 0 must return its one block without linking
+every pair of sites, so its traced peak grows with the sites, not with
+their pairs.
 """
 
 import pathlib
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from commdir import cli, community
+from commdir.artificial import SiteProfile, cluster_sites
 from commdir.classify import build_usage_vectors
 from commdir.cli import read_records
 from commdir.clf import filter_records
@@ -181,3 +187,27 @@ def test_ingest_peak_grows_with_distinct_pairs_not_lines(tmp_path):
         peaks.append(ingest_peak(log))
     assert pairs == [4_096, 4_096]
     assert peaks[1] < INGEST_GROWTH * peaks[0], peaks
+
+
+# Measured growth of the peak for 4x the sites: 4.0x for one block
+# (41 -> 164 kB), 15.6x when the join links every pair (8.4 -> 132 MB).
+SIGMA_ZERO_GROWTH = 5
+
+
+def sigma_zero_peak(sites):
+    """Traced peak of ``cluster_sites`` at sigma 0 on ``sites`` synthetic profiles."""
+    profiles = [SiteProfile(f"www.s{i:05d}.com", Counter({f"t{i % 97}": 1, f"u{i % 13}": 2}), 1)
+                for i in range(sites)]
+    tracemalloc.start()
+    try:
+        partition = cluster_sites(profiles, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert partition == [tuple(p.site for p in profiles)]
+    return peak
+
+
+def test_sigma_zero_peak_grows_with_sites_not_pairs():
+    small, large = sigma_zero_peak(500), sigma_zero_peak(2_000)
+    assert large <= SIGMA_ZERO_GROWTH * small, (small, large)

@@ -42,7 +42,7 @@ def test_sparse_artificial_cli_run_and_joins_match_oracle(tmp_path):
     profiles = profile_sites(extract_page_ref(r.resource) for r in kept)
     sites = all_pairs_join({p.site: set(p.tokens) for p in profiles}, jaccard, sigma)
     assert any(sites.values())
-    assert threshold_join({p.site: dict.fromkeys(p.tokens, 1) for p in profiles},
+    assert threshold_join({p.site: dict.fromkeys(p.tokens or [None], 1) for p in profiles},
                           _jaccard, sigma) == sites
     partition = cluster_sites(profiles, sigma)
     assert partition == union_find_clusters(profiles, sigma)
