@@ -3,14 +3,15 @@
 When no curated taxonomy exists, sites are profiled by the URL tokens of
 their logged pages and grouped by single-linkage clustering over Jaccard
 similarity of those token sets: a cluster is a connected component of the
-graph whose edges join the site pairs at least sigma-similar. The edges
-come from the same threshold join that links similar users, with each
-token weighted 1, so a dot product is the size of an intersection and a
-squared norm the size of a set. Only sites that share a token are scored;
-token-less sites share a stand-in one, as Jaccard(∅, ∅) = 1. At sigma 0
-the partition is one block, found without the join. The result is a
-two-level taxonomy (cluster -> member sites) usable by every downstream
-stage, with top-token keyword summaries and depth-defaulted weights.
+graph whose edges join the site pairs at least sigma-similar; the blocks
+are merged pair by pair, with no graph built. The pairs come from the
+threshold join that links similar users, with each token weighted 1, so
+a dot product is the size of an intersection and a squared norm the size
+of a set. Only sites that share a token are scored; token-less sites
+share a stand-in one, as Jaccard(∅, ∅) = 1. At sigma 0 the partition is
+one block, found without the join. The result is a two-level taxonomy
+(cluster -> member sites) usable by every downstream stage, with
+top-token keyword summaries and depth-defaulted weights.
 """
 
 from __future__ import annotations
@@ -64,28 +65,26 @@ def cluster_sites(profiles: Sequence[SiteProfile], sigma: float = DEFAULT_SIGMA)
 
     Clusters are the connected components of the >=sigma similarity graph,
     so the partition at a higher sigma always refines the one at a lower
-    sigma. Output is sorted tuples of sorted sites. sigma 0 gives one block
-    without scoring a pair; sigma > 1 is allowed and yields singletons.
+    sigma. They are merged pair by pair, the smaller block into the larger.
+    Output is sorted tuples of sorted sites. sigma 0 gives one block without
+    scoring a pair; sigma > 1 is allowed and yields singletons.
     """
     if not sigma >= 0.0:
         raise ValueError(f"sigma must be >= 0: {sigma!r}")
     if sigma == 0:
         return [tuple(sorted({p.site for p in profiles}))] if profiles else []
-    adj = threshold_join({p.site: dict.fromkeys(p.tokens or [None], 1) for p in profiles},
-                         _jaccard, sigma)
-    clusters: list[tuple[str, ...]] = []
-    seen: set[str] = set()
-    for site in adj:
-        if site in seen:
-            continue
-        block, todo = {site}, [site]
-        while todo:
-            new = adj[todo.pop()] - block
-            block |= new
-            todo.extend(new)
-        seen |= block
-        clusters.append(tuple(sorted(block)))
-    return sorted(clusters)
+    block_of = {p.site: [p.site] for p in profiles}
+    for a, b in threshold_join({p.site: dict.fromkeys(p.tokens or [None], 1) for p in profiles},
+                               _jaccard, sigma):
+        large, small = block_of[a], block_of[b]
+        if large is not small:
+            if len(large) < len(small):
+                large, small = small, large
+            large += small
+            for site in small:
+                block_of[site] = large
+    # A block keeps its first site, so it is listed once, under that site.
+    return sorted(tuple(sorted(block)) for site, block in block_of.items() if block[0] == site)
 
 
 def _top_tokens(tokens: Counter) -> tuple[str, ...]:

@@ -286,10 +286,9 @@ def cmd_cluster(args) -> int:
 
 
 def _show_taxonomy(tax: taxonomy_mod.Taxonomy) -> Iterator[str]:
-    for path, d in tax.walk():
-        cat = tax.categories[path]
+    for path, cat in tax.categories.items():
         segment = path.rsplit("/", 1)[-1]
-        line = f"{'  ' * d}{segment}  w={cat.weight:.2f}"
+        line = f"{'  ' * taxonomy_mod.depth(path)}{segment}  w={cat.weight:.2f}"
         if cat.keywords:
             line += "  " + ",".join(sorted(cat.keywords))
         yield line

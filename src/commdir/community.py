@@ -4,14 +4,16 @@ Users become vertices of a similarity graph (cosine over their usage
 vectors, thresholded at tau); the dot products come from one pass over a
 category -> (user, count) inverted index, so only users who share a
 category are scored, since any other pair scores 0; tau 0 links all pairs
-unscored. Communities are the maximal cliques of that graph, enumerated
-with Bron-Kerbosch pivoting, so communities may overlap. The search runs
+unscored. The join yields pairs; only ``build_graph`` makes an adjacency.
+Communities are the maximal cliques of that graph, enumerated with
+Bron-Kerbosch pivoting, so communities may overlap. The search runs
 over twin classes, users with equal closed neighbourhoods, which always
 share their cliques: 1,500 users with identical interests are one class
 and one search step. Each community's directory keeps the categories
 whose score, the product of a-priori category informativeness and the
 fraction of the community's hits falling inside the category's subtree,
-clears theta, plus all their ancestors so the result stays a rooted tree.
+clears theta, plus all their ancestors so the result stays a rooted tree,
+stored in tree order.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .classify import UsageVector
-from .taxonomy import ROOT, Taxonomy, ancestors, parent
+from .taxonomy import ROOT, Taxonomy, ancestors, depth, parent, preorder
 
 DEFAULT_TAU = 0.5
 DEFAULT_THETA = 0.1
@@ -60,7 +62,7 @@ class Community:
 
 @dataclass(frozen=True)
 class CommunityDirectory:
-    """Ancestor-closed scored category subset selected for one community."""
+    """Ancestor-closed scored category subset selected for one community, in tree order."""
 
     community: Community
     selected: dict[str, float]
@@ -78,24 +80,22 @@ def _cosine(dot: int, na: int, nb: int) -> float:
 
 def threshold_join(weights: Mapping[str, Mapping[object, int]],
                    score: Callable[[int, int, int], float],
-                   threshold: float) -> dict[str, set[str]]:
-    """Adjacency of the id pairs whose score reaches threshold, keys in sorted order.
+                   threshold: float) -> Iterator[tuple[str, str]]:
+    """Each id pair ``(a, b)``, ``a < b``, whose score reaches threshold, once.
 
     Each item is a {key: int >= 0} map. An inverted-index join: items are
     visited in sorted-id order, and each one adds up its dot product with the
     earlier items from its keys' {id: weight} postings, then adds itself to
-    them. A pair is linked when ``score(dot, |x|², |y|²) >= threshold``, so
+    them. A pair is yielded when ``score(dot, |a|², |b|²) >= threshold``, so
     the cost grows with the posting entries scanned, not with all n(n-1)/2
     pairs, when keys are sparse. Pairs that share no key are never scored
-    nor linked, at any threshold: a caller whose rule links them states it.
+    nor yielded, at any threshold: a caller whose rule links them states it.
     """
-    ordered = sorted(weights)
-    adj: dict[str, set[str]] = {b: set() for b in ordered}
     # Dict postings, not lists of (id, weight) tuples: an entry is no object
     # the garbage collector must track, so a large heap is not rescanned.
     index: dict[object, dict[str, int]] = {}
     norms: dict[str, int] = {}
-    for b in ordered:
+    for b in sorted(weights):
         dots: dict[str, int] = {}
         for key, w in weights[b].items():
             posting = index.setdefault(key, {})
@@ -105,9 +105,7 @@ def threshold_join(weights: Mapping[str, Mapping[object, int]],
         nb = norms[b] = sum(w * w for w in weights[b].values())
         for a, dot in dots.items():
             if score(dot, norms[a], nb) >= threshold:
-                adj[a].add(b)
-                adj[b].add(a)
-    return adj
+                yield a, b
 
 
 def build_graph(vectors: Iterable[UsageVector], tau: float = DEFAULT_TAU) -> SimilarityGraph:
@@ -120,10 +118,14 @@ def build_graph(vectors: Iterable[UsageVector], tau: float = DEFAULT_TAU) -> Sim
         raise ValueError("duplicate user ids in vectors")
     if any(n < 0 for c in counts.values() for n in c.values()):
         raise ValueError("negative count in vectors")
+    adjacency: dict[str, set[str]] = {u: set() for u in sorted(counts)}
     if tau == 0:  # no count is negative, so no cosine is
         everyone = set(counts)
-        return SimilarityGraph({u: everyone - {u} for u in sorted(counts)})
-    return SimilarityGraph(threshold_join(counts, _cosine, tau))
+        return SimilarityGraph({u: everyone - {u} for u in adjacency})
+    for a, b in threshold_join(counts, _cosine, tau):
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    return SimilarityGraph(adjacency)
 
 
 def _twin_classes(adj: Mapping[str, set[str]]) -> dict[str, tuple[str, ...]]:
@@ -219,7 +221,8 @@ def build_community_directory(tax: Taxonomy, community: Community,
     only categories on a hit path score above 0 and only those are scored,
     except at theta=0, which selects the whole taxonomy. Ancestors pulled in
     for closure keep their own (possibly sub-theta) scores; an empty
-    selection means no category reached theta.
+    selection means no category reached theta. The selection is in tree
+    order (``taxonomy.preorder``).
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1]: {theta!r}")
@@ -236,21 +239,22 @@ def build_community_directory(tax: Taxonomy, community: Community,
             selected[path] = score
             for anc in ancestors(path):
                 selected.setdefault(anc, scores[anc])
-    return CommunityDirectory(community, dict(sorted(selected.items())), theta)
+    return CommunityDirectory(community, {p: selected[p] for p in preorder(selected)}, theta)
 
 
 def directory_text(cdir: CommunityDirectory, tax: Taxonomy) -> str:
-    """Indented deterministic text tree, one ``path  score`` line per category."""
-    selected = cdir.selected
-    return "".join(f"{'  ' * d}{path}  {selected[path]:.6f}\n" for path, d in tax.walk(selected))
+    """Indented deterministic text tree, one ``path  score`` line per category.
+    ``tax`` is unread, since the selection is in tree order; callers pass it."""
+    return "".join(f"{'  ' * depth(path)}{path}  {score:.6f}\n"
+                   for path, score in cdir.selected.items())
 
 
 def directory_doc(cdir: CommunityDirectory, tax: Taxonomy) -> dict:
-    """JSON-ready document: members, theta, and the scored category tree."""
-    selected = cdir.selected
+    """JSON-ready document: members, theta, and the scored category tree.
+    ``tax`` is unread, since the selection is in tree order; callers pass it."""
     nodes: dict[str, dict] = {}
-    for path, _ in tax.walk(selected):
-        node = nodes[path] = {"path": path, "score": selected[path], "children": []}
+    for path, score in cdir.selected.items():
+        node = nodes[path] = {"path": path, "score": score, "children": []}
         if path != ROOT:
             nodes[parent(path)]["children"].append(node)
     return {

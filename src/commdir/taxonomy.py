@@ -12,6 +12,8 @@ up to three tab-separated columns ``path<TAB>comma,separated,keywords<TAB>weight
 ancestors are auto-created on load.
 
 Taxonomy values are immutable after construction; edits build new values.
+They keep their categories in tree order (``preorder``), which every
+renderer lists them in.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ def ancestors(path: str) -> list[str]:
     return ["/".join(parts[:i]) for i in range(1, len(parts))]
 
 
+def preorder(paths: Iterable[str]) -> list[str]:
+    """Paths in tree order, depth-first with children in path order: sorted
+    by segment lists, since as strings "Top/A-B" < "Top/A/x" ("-" < "/")."""
+    return sorted(paths, key=lambda p: p.split("/"))
+
+
 @dataclass(frozen=True)
 class Category:
     """A category's keywords and weight; its path is its key in the taxonomy."""
@@ -59,10 +67,10 @@ class Category:
 
 
 class Taxonomy:
-    """Immutable rooted category tree keyed by path."""
+    """Immutable rooted category tree keyed by path, categories in tree order."""
 
     def __init__(self, categories: Mapping[str, Category]):
-        self._categories = dict(sorted(categories.items()))
+        self._categories = {path: categories[path] for path in preorder(categories)}
         if ROOT not in self._categories:
             raise TaxonomyError(f"taxonomy has no root category {ROOT!r}")
         for path in self._categories:
@@ -85,7 +93,7 @@ class Taxonomy:
 
     @cached_property
     def keyword_index(self) -> dict[str, tuple[str, ...]]:
-        """keyword token -> paths of the categories carrying it, sorted as strings."""
+        """keyword token -> paths of the categories carrying it, in tree order."""
         index: dict[str, list[str]] = {}
         for path, cat in self._categories.items():
             for kw in cat.keywords:
@@ -102,17 +110,6 @@ class Taxonomy:
         for path in sorted(self._categories, key=lambda p: (-depth(p), p)):
             index.setdefault(path.rpartition("/")[2], path)
         return index
-
-    def walk(self, within: Iterable[str] | None = None) -> Iterator[tuple[str, int]]:
-        """Depth-first preorder of (path, depth), children in path order.
-
-        That is the paths sorted by their segment lists: sorted as strings,
-        "Top/A-B" would come before "Top/A/x", since "-" sorts below "/".
-        Given an ancestor-closed set of paths ``within``, only those are visited.
-        """
-        paths = (self._categories if within is None
-                 else [p for p in within if p in self._categories])
-        return ((p, depth(p)) for p in sorted(paths, key=lambda p: p.split("/")))
 
 
 def _validate_path(path: str) -> None:
@@ -197,14 +194,13 @@ def load_taxonomy(source: str | os.PathLike | IO[str]) -> Taxonomy:
 
 
 def serialize_taxonomy(tax: Taxonomy) -> str:
-    """Render in the file format, categories in depth-first path order.
+    """Render in the file format, categories in tree order.
 
     Defaulted weights are omitted so they keep recomputing on reload;
     explicit weights are emitted with full float precision.
     """
     lines = []
-    for path, _ in tax.walk():
-        cat = tax.categories[path]
+    for path, cat in tax.categories.items():
         kws = ",".join(sorted(cat.keywords))
         weight = repr(cat.weight) if cat.explicit_weight else ""
         lines.append(f"{path}\t{kws}\t{weight}".rstrip("\t"))

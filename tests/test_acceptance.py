@@ -122,7 +122,7 @@ def _random_taxonomy(rng):
 
 
 def _random_community(rng, tax):
-    paths = list(tax)
+    paths = sorted(tax)
     profile = {p: rng.randint(1, 20)
                for p in rng.sample(paths, rng.randint(1, len(paths)))}
     if rng.random() < 0.5:

@@ -189,6 +189,13 @@ def test_clusters_match_union_find_reference():
             assert cluster_sites(rng.sample(profiles, len(profiles)), sigma) == expected
             merged += len(expected) < len(profiles)
     assert merged > 200
+    # A chain: site i shares one token with site i+1 (Jaccard 1/3) and none
+    # with the others, so only single linkage through every link joins them.
+    chain = [profile(f"s{i:02d}.net", [f"t{i}", f"t{i + 1}"]) for i in range(40)]
+    for sigma, expected in ((0.3, [tuple(p.site for p in chain)]),
+                            (0.5, [(p.site,) for p in chain])):
+        assert union_find_clusters(chain, sigma) == expected
+        assert cluster_sites(rng.sample(chain, len(chain)), sigma) == expected
 
 
 def test_artificial_directory_structure(sample_records):

@@ -109,7 +109,7 @@ def test_library_names_exist():
 
 def test_removed_names_are_gone():
     removed = removed_names()
-    assert len(removed) == 18
+    assert len(removed) == 19
     for name in removed:
         assert not exists(name), name
         attr = name.rpartition(".")[2]

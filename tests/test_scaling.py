@@ -19,9 +19,10 @@ not the communities times the users.
 pair, holding no record once counted, so the traced peak of its ingest
 stays put while the lines grow and those pairs do not.
 
-``cluster_sites`` at sigma 0 must return its one block without linking
-every pair of sites, so its traced peak grows with the sites, not with
-their pairs.
+``cluster_sites`` must hold no graph of the sites: at sigma 0 it returns
+its one block without linking every pair of sites, and above 0 it merges
+the blocks of each linked pair as the join yields it, so its traced peak
+grows with the sites, not with their linked pairs.
 """
 
 import pathlib
@@ -189,18 +190,24 @@ def test_ingest_peak_grows_with_distinct_pairs_not_lines(tmp_path):
     assert peaks[1] < INGEST_GROWTH * peaks[0], peaks
 
 
-# Measured growth of the peak for 4x the sites: 4.0x for one block
-# (41 -> 164 kB), 15.6x when the join links every pair (8.4 -> 132 MB).
-SIGMA_ZERO_GROWTH = 5
+# Measured growth of the peak for 4x the sites: at sigma 0, 4.0x for one
+# block (41 -> 164 kB), 15.6x when the join links every pair (8.4 -> 132 MB);
+# at sigma 0.3, 4.0x when blocks are merged from the pairs (0.18 -> 0.71 MB),
+# 13.5x when an adjacency of the linked pairs is built first (1.29 -> 17.45 MB).
+SITES_GROWTH = 5
 
 
-def sigma_zero_peak(sites):
-    """Traced peak of ``cluster_sites`` at sigma 0 on ``sites`` synthetic profiles."""
+def cluster_sites_peak(sites, sigma):
+    """Traced peak of ``cluster_sites`` at ``sigma`` on ``sites`` synthetic profiles.
+
+    Site i carries tokens t(i mod 97) and u(i mod 13), so it shares one with
+    about a thirteenth of the sites (Jaccard 1/3), and the sites form one block.
+    """
     profiles = [SiteProfile(f"www.s{i:05d}.com", Counter({f"t{i % 97}": 1, f"u{i % 13}": 2}), 1)
                 for i in range(sites)]
     tracemalloc.start()
     try:
-        partition = cluster_sites(profiles, 0.0)
+        partition = cluster_sites(profiles, sigma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,6 +215,7 @@ def sigma_zero_peak(sites):
     return peak
 
 
-def test_sigma_zero_peak_grows_with_sites_not_pairs():
-    small, large = sigma_zero_peak(500), sigma_zero_peak(2_000)
-    assert large <= SIGMA_ZERO_GROWTH * small, (small, large)
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_cluster_sites_peak_grows_with_sites_not_pairs(sigma):
+    small, large = cluster_sites_peak(500, sigma), cluster_sites_peak(2_000, sigma)
+    assert large <= SITES_GROWTH * small, (small, large)

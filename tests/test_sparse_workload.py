@@ -17,7 +17,7 @@ from commdir.clf import DEFAULT_POLICY, filter_records
 from commdir.community import build_graph, threshold_join
 from commdir.urls import extract_page_ref
 from test_artificial import jaccard, union_find_clusters
-from test_community import all_pairs_join, similarity
+from test_community import all_pairs_join, pair_adjacency, similarity
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -42,8 +42,8 @@ def test_sparse_artificial_cli_run_and_joins_match_oracle(tmp_path):
     profiles = profile_sites(extract_page_ref(r.resource) for r in kept)
     sites = all_pairs_join({p.site: set(p.tokens) for p in profiles}, jaccard, sigma)
     assert any(sites.values())
-    assert threshold_join({p.site: dict.fromkeys(p.tokens or [None], 1) for p in profiles},
-                          _jaccard, sigma) == sites
+    tokens = {p.site: dict.fromkeys(p.tokens or [None], 1) for p in profiles}
+    assert pair_adjacency(tokens, threshold_join(tokens, _jaccard, sigma)) == sites
     partition = cluster_sites(profiles, sigma)
     assert partition == union_find_clusters(profiles, sigma)
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from commdir.community import Community, build_community_directory
 from commdir.taxonomy import (
     MAX_DEPTH,
     ROOT,
@@ -198,15 +199,14 @@ def test_serialize_preserves_explicit_weights():
 
 def test_walk_is_depth_first_with_sorted_children():
     tax = load_str("Top/B/Y\nTop/B/X\nTop/A\n")
-    assert [p for p, _ in tax.walk()] == \
-        ["Top", "Top/A", "Top/B", "Top/B/X", "Top/B/Y"]
-    assert [d for _, d in tax.walk()] == [0, 1, 1, 2, 2]
+    assert list(tax.categories) == ["Top", "Top/A", "Top/B", "Top/B/X", "Top/B/Y"]
+    assert [depth(p) for p in tax.categories] == [0, 1, 1, 2, 2]
 
 
 def test_walk_puts_a_subtree_before_siblings_that_sort_below_slash():
     tax = load_str("Top/A.b\nTop/A-B\nTop/A B\nTop/A/x\n")
-    assert [p for p, _ in tax.walk()] == \
-        ["Top", "Top/A", "Top/A/x", "Top/A B", "Top/A-B", "Top/A.b"]
+    assert list(tax.categories) == ["Top", "Top/A", "Top/A/x", "Top/A B", "Top/A-B", "Top/A.b"]
+    assert [depth(p) for p in tax.categories] == [0, 1, 2, 1, 1, 1]
 
 
 # Segments with characters that sort below "/", for which preorder and
@@ -223,7 +223,7 @@ def random_taxonomy(rng):
 def random_within(rng, tax):
     """A random ancestor-closed subset of ``tax``."""
     within = set()
-    for path in rng.sample(list(tax), rng.randint(0, len(tax))):
+    for path in rng.sample(sorted(tax), rng.randint(0, len(tax))):
         within.update(ancestors(path), [path])
     return within
 
@@ -248,22 +248,33 @@ def old_walk(tax, within=None):
                      if within is None or c in within)
 
 
+def directory_of(tax, within):
+    """The community directory that selects exactly ``within``: its paths
+    weigh 1 and the others 0, and each leaf of it gets one hit."""
+    weighted = make_taxonomy({p: ((), 1.0 if p in within else 0.0) for p in tax})
+    leaves = [p for p in within if not any(parent(q) == p for q in within)]
+    community = Community(("u",), dict.fromkeys(leaves, 1), len(leaves))
+    return build_community_directory(weighted, community, 1e-9)
+
+
 def test_walk_within_visits_only_an_ancestor_closed_subset():
     rng = random.Random(18)
     for _ in range(300):
         tax = random_taxonomy(rng)
         within = random_within(rng, tax)
-        assert list(tax.walk(within)) == [e for e in tax.walk() if e[0] in within]
-        assert list(tax.walk(set())) == []
+        selected = directory_of(tax, within).selected
+        assert list(selected) == [p for p in tax.categories if p in within]
+        assert list(directory_of(tax, set()).selected) == []
 
 
 def test_walk_matches_old_stack_walk():
     rng = random.Random(19)
     for _ in range(400):
         tax = random_taxonomy(rng)
-        assert list(tax.walk()) == list(old_walk(tax))
+        assert [(p, depth(p)) for p in tax.categories] == list(old_walk(tax))
         within = random_within(rng, tax)
-        assert list(tax.walk(within)) == list(old_walk(tax, within))
+        selected = directory_of(tax, within).selected
+        assert [(p, depth(p)) for p in selected] == list(old_walk(tax, within))
 
 
 def test_load_file_ignores_byte_order_mark(tmp_path):
@@ -313,8 +324,7 @@ def three_branch_serialize_taxonomy(tax):
     """serialize_taxonomy as it was, with one line shape per kind of
     category: the oracle of the one shape with its empty columns stripped."""
     lines = []
-    for path, _ in tax.walk():
-        cat = tax.categories[path]
+    for path, cat in tax.categories.items():
         kws = ",".join(sorted(cat.keywords))
         if cat.explicit_weight:
             lines.append(f"{path}\t{kws}\t{cat.weight!r}")
