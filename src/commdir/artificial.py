@@ -7,7 +7,8 @@ graph whose edges join the site pairs at least sigma-similar; the blocks
 are merged pair by pair, with no graph built. The pairs come from the
 threshold join that links similar users, with each token weighted 1, so
 a dot product is the size of an intersection and a squared norm the size
-of a set. Only sites that share a token are scored; token-less sites
+of a set; the rule is decided in integers, sigma read as the decimal it
+prints as. Only sites that share a token are tested; token-less sites
 share a stand-in one, as Jaccard(∅, ∅) = 1. At sigma 0 the partition is
 one block, found without the join. The result is a two-level taxonomy
 (cluster -> member sites) usable by every downstream stage, with
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .community import threshold_join
@@ -55,11 +57,6 @@ def profile_sites(refs: Iterable[PageRef] | Mapping[PageRef, int]) -> list[SiteP
     return [SiteProfile(site, tokens[site], hits[site]) for site in sorted(hits)]
 
 
-def _jaccard(inter: int, na: int, nb: int) -> float:
-    """Jaccard from the intersection size and the two set sizes."""
-    return inter / (na + nb - inter)
-
-
 def cluster_sites(profiles: Sequence[SiteProfile], sigma: float = DEFAULT_SIGMA) -> list[tuple[str, ...]]:
     """Single-linkage clusters over Jaccard similarity of site token sets.
 
@@ -67,15 +64,18 @@ def cluster_sites(profiles: Sequence[SiteProfile], sigma: float = DEFAULT_SIGMA)
     so the partition at a higher sigma always refines the one at a lower
     sigma. They are merged pair by pair, the smaller block into the larger.
     Output is sorted tuples of sorted sites. sigma 0 gives one block without
-    scoring a pair; sigma > 1 is allowed and yields singletons.
+    testing a pair; sigma > 1 is allowed and yields singletons.
     """
-    if not sigma >= 0.0:
-        raise ValueError(f"sigma must be >= 0: {sigma!r}")
+    if not 0.0 <= sigma < float("inf"):
+        raise ValueError(f"sigma must be a finite number >= 0: {sigma!r}")
     if sigma == 0:
         return [tuple(sorted({p.site for p in profiles}))] if profiles else []
+    exact = Fraction(str(sigma))
+    num, den = exact.numerator, exact.denominator
     block_of = {p.site: [p.site] for p in profiles}
+    # Jaccard >= sigma  <=>  |a ∩ b| · den >= num · |a ∪ b|.
     for a, b in threshold_join({p.site: dict.fromkeys(p.tokens or [None], 1) for p in profiles},
-                               _jaccard, sigma):
+                               lambda inter, na, nb: inter * den >= num * (na + nb - inter)):
         large, small = block_of[a], block_of[b]
         if large is not small:
             if len(large) < len(small):

@@ -1,10 +1,12 @@
 """User-community discovery and pruned community directories.
 
-Users become vertices of a similarity graph (cosine over their usage
-vectors, thresholded at tau); the dot products come from one pass over a
-category -> (user, count) inverted index, so only users who share a
-category are scored, since any other pair scores 0; tau 0 links all pairs
-unscored. The join yields pairs; only ``build_graph`` makes an adjacency.
+Users become vertices of a similarity graph, linked where the cosine of
+their usage vectors reaches tau (read as the decimal it prints as: 0.4 is
+2/5), decided in integers, so scaling the counts never changes an edge. The
+dot products come from one pass over a category -> (user, count) inverted
+index, so only users who share a category are tested, since any other pair
+has cosine 0; tau 0 links all pairs untested. The join yields pairs; only
+``build_graph`` makes an adjacency.
 Communities are the maximal cliques of that graph, enumerated with
 Bron-Kerbosch pivoting, so communities may overlap. The search runs
 over twin classes, users with equal closed neighbourhoods, which always
@@ -19,9 +21,9 @@ stored in tree order.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .classify import UsageVector
@@ -69,27 +71,17 @@ class CommunityDirectory:
     theta: float
 
 
-def _cosine(dot: int, na: int, nb: int) -> float:
-    """Cosine from a dot product and the two squared norms."""
-    if dot == 0:
-        return 0.0
-    # na*nb is an exact integer, so parallel vectors hit exactly 1.0; a score
-    # rounded just past 1 decides every tau <= 1 as 1.0 does.
-    return dot / math.sqrt(na * nb)
-
-
 def threshold_join(weights: Mapping[str, Mapping[object, int]],
-                   score: Callable[[int, int, int], float],
-                   threshold: float) -> Iterator[tuple[str, str]]:
-    """Each id pair ``(a, b)``, ``a < b``, whose score reaches threshold, once.
+                   links: Callable[[int, int, int], bool]) -> Iterator[tuple[str, str]]:
+    """Each id pair ``(a, b)``, ``a < b``, that the caller's rule links, once.
 
     Each item is a {key: int >= 0} map. An inverted-index join: items are
     visited in sorted-id order, and each one adds up its dot product with the
     earlier items from its keys' {id: weight} postings, then adds itself to
-    them. A pair is yielded when ``score(dot, |a|², |b|²) >= threshold``, so
-    the cost grows with the posting entries scanned, not with all n(n-1)/2
-    pairs, when keys are sparse. Pairs that share no key are never scored
-    nor yielded, at any threshold: a caller whose rule links them states it.
+    them. A pair is yielded when ``links(dot, |a|², |b|²)`` holds, so the
+    cost grows with the posting entries scanned, not with all n(n-1)/2
+    pairs, when keys are sparse. Pairs that share no key are never tested
+    nor yielded: a caller whose rule links them states it.
     """
     # Dict postings, not lists of (id, weight) tuples: an entry is no object
     # the garbage collector must track, so a large heap is not rescanned.
@@ -104,7 +96,7 @@ def threshold_join(weights: Mapping[str, Mapping[object, int]],
             posting[b] = w
         nb = norms[b] = sum(w * w for w in weights[b].values())
         for a, dot in dots.items():
-            if score(dot, norms[a], nb) >= threshold:
+            if links(dot, norms[a], nb):
                 yield a, b
 
 
@@ -122,7 +114,11 @@ def build_graph(vectors: Iterable[UsageVector], tau: float = DEFAULT_TAU) -> Sim
     if tau == 0:  # no count is negative, so no cosine is
         everyone = set(counts)
         return SimilarityGraph({u: everyone - {u} for u in adjacency})
-    for a, b in threshold_join(counts, _cosine, tau):
+    # cos >= tau  <=>  dot > 0 and dot² · den >= num · |a|² · |b|², num/den = tau².
+    exact = Fraction(str(tau))
+    num, den = exact.numerator ** 2, exact.denominator ** 2
+    for a, b in threshold_join(
+            counts, lambda dot, na, nb: dot > 0 and dot * dot * den >= num * na * nb):
         adjacency[a].add(b)
         adjacency[b].add(a)
     return SimilarityGraph(adjacency)

@@ -1,12 +1,12 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from commdir import artificial
 from commdir.artificial import (
     SiteProfile,
-    _jaccard,
     _top_tokens,
     build_artificial_directory,
     cluster_sites,
@@ -15,12 +15,24 @@ from commdir.artificial import (
 from commdir.community import threshold_join
 from commdir.taxonomy import ROOT, ancestors, depth, make_taxonomy
 from commdir.urls import extract_page_ref, tokenize
+from reference import similar_sites
 
 
 def jaccard(a, b):
-    """Jaccard similarity of two sets, two empty sets counting as identical:
-    the pairwise reference of the site-clustering oracles."""
-    return _jaccard(len(a & b), len(a), len(b)) if a or b else 1.0
+    """Exact Jaccard similarity of two sets, two empty sets counting as identical."""
+    return Fraction(len(a & b), len(a | b)) if a or b else Fraction(1)
+
+
+def jaccard_reaches(a, b, sigma):
+    """jaccard(a, b) >= sigma, sigma read as the decimal it prints as (0.4 is
+    2/5): the pairwise reference of the site-clustering oracles."""
+    return jaccard(a, b) >= Fraction(str(sigma))
+
+
+def jaccard_links(sigma):
+    """The join rule of ``jaccard_reaches``, from an intersection size and two set sizes."""
+    exact = Fraction(str(sigma))
+    return lambda inter, na, nb: Fraction(inter, na + nb - inter) >= exact
 
 
 def profile(site, tokens, hits=1):
@@ -81,9 +93,9 @@ def test_profile_sites_accumulates_hits():
 
 
 def test_jaccard_basics():
-    assert jaccard(set(), set()) == 1.0
-    assert jaccard({"a"}, set()) == 0.0
-    assert jaccard({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
+    assert jaccard(set(), set()) == 1
+    assert jaccard({"a"}, set()) == 0
+    assert jaccard({"a", "b"}, {"b", "c"}) == Fraction(1, 3)
 
 
 def test_sigma_zero_merges_everything(monkeypatch):
@@ -108,9 +120,10 @@ def test_sigma_above_one_keeps_singletons():
     assert cluster_sites(profiles, 1.0 + 1e-9) == [("a.com",), ("b.com",)]
 
 
-@pytest.mark.parametrize("sigma", [-0.1, float("nan")])
+@pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
 def test_sigma_must_be_a_number_at_least_zero(sigma):
-    # Two sites sharing a token: a NaN sigma once gave singletons, not an error.
+    # Two sites sharing a token: a NaN or infinite sigma once gave singletons,
+    # not an error.
     profiles = [profile("a.com", "xy"), profile("b.com", "xz")]
     assert cluster_sites(profiles, 0.1) == [("a.com", "b.com")]
     with pytest.raises(ValueError, match="sigma"):
@@ -121,6 +134,17 @@ def test_jaccard_threshold_example():
     profiles = [profile("a", "xy"), profile("b", "xyz"), profile("c", "q")]
     # J(a,b) = 2/3 >= 0.5; c shares nothing
     assert cluster_sites(profiles, 0.5) == [("a", "b"), ("c",)]
+
+
+def test_jaccard_ties_decide_as_the_reference_oracle():
+    # |a ∩ b| = 5, |a| = 5 and |b| = 6: Jaccard 5/6, which lies between the
+    # two floats nearest to it. A float quotient rounds it up to the larger.
+    a, b = set("pqrst"), set("pqrstu")
+    profiles = [profile("a.com", a), profile("b.com", b)]
+    for text, want in (("0.8333333333333334", [("a.com",), ("b.com",)]),
+                       ("0.8333333333333333", [("a.com", "b.com")])):
+        assert cluster_sites(profiles, float(text)) == want
+        assert similar_sites(a, b, Fraction(text)) == (len(want) == 1)
 
 
 def test_single_linkage_chains():
@@ -167,7 +191,7 @@ def union_find_clusters(profiles, sigma):
 
     mergeable = sorted((-jaccard(token_sets[a], token_sets[b]), a, b)
                        for i, a in enumerate(sites) for b in sites[i + 1:]
-                       if jaccard(token_sets[a], token_sets[b]) >= sigma)
+                       if jaccard_reaches(token_sets[a], token_sets[b], sigma))
     for _, a, b in mergeable:
         ra, rb = sorted((find(a), find(b)))
         parent[rb] = ra

@@ -1,20 +1,22 @@
 import inspect
 import itertools
+import math
+import pathlib
 import random
 import sys
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from commdir import community as community_mod
-from commdir.artificial import SiteProfile, _jaccard, cluster_sites
+from commdir.artificial import SiteProfile, cluster_sites
 from commdir.classify import UNSPECIFIED, UsageVector, build_usage_vectors
 from commdir.community import (
     Community,
     ExplosionGuardError,
-    _cosine,
     SimilarityGraph,
     build_community_directory,
     build_graph,
@@ -26,20 +28,33 @@ from commdir.community import (
 )
 from commdir.metrics import report_json
 from commdir.taxonomy import ROOT, ancestors, make_taxonomy
-from test_artificial import jaccard, union_find_clusters
+from test_artificial import jaccard_links, jaccard_reaches, union_find_clusters
 from test_taxonomy import children_map
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+
+import check  # noqa: E402
 
 
 def vec(user, counts):
     return UsageVector(user, dict(counts), sum(counts.values()))
 
 
-def similarity(u, v):
-    """Cosine similarity of two usage vectors, unspecified coordinate included:
-    the pairwise reference of the user-graph oracles."""
+def cosine_links(tau):
+    """The rule cos >= tau from a dot product and two squared norms, in exact
+    arithmetic, tau read as the decimal it prints as (0.4 is 2/5): cos² is
+    dot² / (|a|² |b|²) for dot > 0, and a pair with dot 0 (orthogonal, or a
+    zero vector) has cosine 0."""
+    exact = Fraction(str(tau)) ** 2
+    return lambda dot, na, nb: Fraction(dot * dot, na * nb) >= exact if dot else tau == 0
+
+
+def cosine_reaches(u, v, tau):
+    """cos(u, v) >= tau, unspecified coordinate included: the pairwise
+    reference of the user-graph oracles."""
     a, b = u.counts, v.counts
-    return _cosine(sum(n * b.get(k, 0) for k, n in a.items()),
-                   sum(n * n for n in a.values()), sum(n * n for n in b.values()))
+    return cosine_links(tau)(sum(n * b.get(k, 0) for k, n in a.items()),
+                             sum(n * n for n in a.values()), sum(n * n for n in b.values()))
 
 
 def graph_from_edges(vertices, edges):
@@ -65,22 +80,26 @@ def brute_force_maximal_cliques(graph):
 
 def test_similarity_identical_is_one():
     u = vec("u", {"A": 3, "B": 4})
-    assert similarity(u, vec("v", {"A": 3, "B": 4})) == 1.0
-    assert similarity(u, vec("w", {"A": 6, "B": 8})) == 1.0  # parallel
+    assert cosine_reaches(u, vec("v", {"A": 3, "B": 4}), 1.0)
+    assert cosine_reaches(u, vec("w", {"A": 6, "B": 8}), 1.0)  # parallel
 
 
 def test_similarity_disjoint_is_zero():
-    assert similarity(vec("u", {"A": 1}), vec("v", {"B": 1})) == 0.0
+    u, v = vec("u", {"A": 1}), vec("v", {"B": 1})
+    assert cosine_reaches(u, v, 0.0)
+    assert not cosine_reaches(u, v, 5e-324)  # the least tau above 0
 
 
 def test_similarity_half_overlap():
-    got = similarity(vec("u", {"A": 1, "B": 1}), vec("v", {"A": 1}))
-    assert got == pytest.approx(2 ** -0.5, abs=1e-9)
+    # cos = 2 ** -0.5 = 0.70710678118654752..., between these two decimals.
+    u, v = vec("u", {"A": 1, "B": 1}), vec("v", {"A": 1})
+    assert cosine_reaches(u, v, 0.7071067811865475)
+    assert not cosine_reaches(u, v, 0.7071067811865476)
 
 
 def test_similarity_counts_unspecified_coordinate():
     u = vec("u", {UNSPECIFIED: 1})
-    assert similarity(u, vec("v", {UNSPECIFIED: 5})) == 1.0
+    assert cosine_reaches(u, vec("v", {UNSPECIFIED: 5}), 1.0)
 
 
 def test_build_graph_tau_zero_is_complete():
@@ -104,6 +123,58 @@ def test_build_graph_mid_threshold():
     assert graph.adjacency == {"a": {"b", "c"}, "b": {"a", "c"}, "c": {"a", "b"}}
     graph = build_graph([a, b, c], 0.8)
     assert graph.adjacency == {"a": {"b"}, "b": {"a"}, "c": set()}
+
+
+def test_cosine_ties_decide_as_the_exact_oracle():
+    # u3 = 3·u1 and u4 = 3·u2, so the four cross pairs have one cosine,
+    # 17 / sqrt(77 · 254), which lies between the two taus; a float quotient
+    # rounds it to one side for some pairs and to the other for the rest.
+    counts = {"u1": {"A": 8, "B": 3, "C": 2}, "u2": {"A": 1, "B": 3, "D": 12, "E": 10}}
+    counts["u3"] = {c: 3 * n for c, n in counts["u1"].items()}
+    counts["u4"] = {c: 3 * n for c, n in counts["u2"].items()}
+    vectors = [vec(u, c) for u, c in counts.items()]
+    everyone = set(counts)
+    for text, want in (("0.12155888293603437", {u: everyone - {u} for u in counts}),
+                       ("0.12155888293603438", {"u1": {"u3"}, "u2": {"u4"},
+                                                "u3": {"u1"}, "u4": {"u2"}})):
+        assert build_graph(vectors, float(text)).adjacency == want
+        assert check.tau_graph(counts, Fraction(text)) == want
+
+
+def test_tau_is_read_as_the_decimal_it_prints_as():
+    # cos((1,0,0,0), (2,4,2,1)) = 2/5 exactly. The float 0.4 is a little
+    # above 2/5, so reading its binary value would unlink the pair.
+    counts = {"a": {"A": 1}, "b": {"A": 2, "B": 4, "C": 2, "D": 1}}
+    linked = {"a": {"b"}, "b": {"a"}}
+    assert build_graph([vec(u, c) for u, c in counts.items()], 0.4).adjacency == linked
+    assert check.tau_graph(counts, Fraction("0.4")) == linked
+    assert check.tau_graph(counts, Fraction(0.4)) == {"a": set(), "b": set()}
+
+
+def test_build_graph_is_scale_invariant_at_a_pairs_own_score():
+    # tau is set to the float quotient of each pair's cosine, the value that
+    # a float rule compares nearest to a tie; the scaled copies must decide
+    # as the originals do, and all must agree with the exact oracle.
+    rng = random.Random(65)
+    cats = [f"Top/C{i}" for i in range(5)]
+    decided = Counter()
+    for _ in range(400):
+        u, v = ({c: rng.randint(1, 30) for c in rng.sample(cats, rng.randint(1, 5))}
+                for _ in range(2))
+        dot = sum(n * v.get(c, 0) for c, n in u.items())
+        if not dot:
+            continue
+        k = rng.randint(2, 9)
+        counts = {"u": u, "v": v, "ku": {c: k * n for c, n in u.items()},
+                  "kv": {c: k * n for c, n in v.items()}}
+        tau = min(1.0, dot / math.sqrt(sum(n * n for n in u.values()) *
+                                       sum(n * n for n in v.values())))
+        adj = build_graph([vec(w, c) for w, c in counts.items()], tau).adjacency
+        assert adj == check.tau_graph(counts, Fraction(str(tau)))
+        cross = {"v" in adj["u"], "kv" in adj["ku"], "kv" in adj["u"], "v" in adj["ku"]}
+        assert len(cross) == 1
+        decided[cross.pop()] += 1
+    assert decided[True] > 50 and decided[False] > 50
 
 
 def test_triangle_is_single_community():
@@ -354,7 +425,7 @@ def test_build_graph_matches_brute_force_similarity():
         for tau in (0.0, rng.random(), 0.5, 1.0):
             adj = {v.user: set() for v in vectors}
             for a, b in itertools.combinations(vectors, 2):
-                if similarity(a, b) >= tau:
+                if cosine_reaches(a, b, tau):
                     adj[a.user].add(b.user)
                     adj[b.user].add(a.user)
             graph = build_graph(rng.sample(vectors, len(vectors)), tau)
@@ -362,13 +433,13 @@ def test_build_graph_matches_brute_force_similarity():
             assert graph.adjacency == adj
 
 
-def all_pairs_join(items, sim, threshold):
+def all_pairs_join(items, reaches, threshold):
     """The all-pairs loop that threshold_join replaced, kept as its oracle."""
     pairs = sorted(items.items())
     adj = {k: set() for k, _ in pairs}
     for i, (a, x) in enumerate(pairs):
         for b, y in pairs[i + 1:]:
-            if sim(x, y) >= threshold:
+            if reaches(x, y, threshold):
                 adj[a].add(b)
                 adj[b].add(a)
     return {k: frozenset(n) for k, n in adj.items()}
@@ -386,14 +457,14 @@ def pair_adjacency(ids, pairs):
     return adj
 
 
-def assert_joins_equal(weights, score, items, sim, threshold):
-    got = pair_adjacency(weights, threshold_join(weights, score, threshold))
-    assert got == all_pairs_join(items, sim, threshold)
+def assert_joins_equal(weights, links, items, reaches, threshold):
+    got = pair_adjacency(weights, threshold_join(weights, links))
+    assert got == all_pairs_join(items, reaches, threshold)
 
 
 def assert_cosine_joins_equal(vectors, tau):
-    assert_joins_equal({u: v.counts for u, v in vectors.items()}, _cosine,
-                       vectors, similarity, tau)
+    assert_joins_equal({u: v.counts for u, v in vectors.items()}, cosine_links(tau),
+                       vectors, cosine_reaches, tau)
 
 
 def shuffled_dict(rng, pairs):
@@ -414,7 +485,7 @@ def test_cosine_join_matches_all_pairs_oracle():
         for tau in (0.0, rng.random(), 0.5, 0.8, 1.0):
             # tau 0 links every pair unscored in build_graph, not in the join.
             adjacency = build_graph(vectors.values(), tau).adjacency
-            want = all_pairs_join(vectors, similarity, tau)
+            want = all_pairs_join(vectors, cosine_reaches, tau)
             assert list(adjacency) == list(want)
             assert adjacency == want
             if tau > 0:
@@ -435,7 +506,7 @@ def test_jaccard_join_matches_all_pairs_oracle():
             assert cluster_sites(profiles, sigma) == union_find_clusters(profiles, sigma)
             if sigma > 0:
                 assert_joins_equal({k: dict.fromkeys(t or [None], 1) for k, t in sets.items()},
-                                   _jaccard, sets, jaccard, sigma)
+                                   jaccard_links(sigma), sets, jaccard_reaches, sigma)
 
 
 def test_join_when_every_user_shares_one_category():
@@ -457,22 +528,26 @@ def test_join_scores_only_pairs_that_share_a_key(monkeypatch):
                for i in range(300)}
     counts = {u: v.counts for u, v in vectors.items()}
     calls = 0
+    join = community_mod.threshold_join
 
-    def counting_cosine(dot, na, nb):
-        nonlocal calls
-        calls += 1
-        return _cosine(dot, na, nb)
+    def counting_join(weights, links):
+        def counting_links(dot, na, nb):
+            nonlocal calls
+            calls += 1
+            return links(dot, na, nb)
+        return join(weights, counting_links)
 
     sharing = sum(1 for u, v in itertools.combinations(vectors.values(), 2)
                   if u.counts.keys() & v.counts.keys())
-    got = pair_adjacency(counts, threshold_join(counts, counting_cosine, 0.5))
-    assert got == all_pairs_join(vectors, similarity, 0.5)
+    got = pair_adjacency(counts, counting_join(counts, cosine_links(0.5)))
+    assert got == all_pairs_join(vectors, cosine_reaches, 0.5)
     assert calls == sharing
     assert sharing < 300 * 299 // 2 // 10
-    # tau 0 links every pair, so build_graph scores none.
-    monkeypatch.setattr(community_mod, "_cosine", counting_cosine)
+    # tau 0 links every pair, so build_graph tests none.
+    monkeypatch.setattr(community_mod, "threshold_join", counting_join)
     calls = 0
-    assert build_graph(vectors.values(), 0.0).adjacency == all_pairs_join(vectors, similarity, 0.0)
+    assert build_graph(vectors.values(), 0.0).adjacency == \
+        all_pairs_join(vectors, cosine_reaches, 0.0)
     assert calls == 0
     assert build_graph(vectors.values(), 0.5).adjacency == got
     assert calls == sharing

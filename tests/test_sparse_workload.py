@@ -10,14 +10,14 @@ import pathlib
 import sys
 from collections import Counter
 
-from commdir.artificial import _jaccard, build_artificial_directory, cluster_sites, profile_sites
+from commdir.artificial import build_artificial_directory, cluster_sites, profile_sites
 from commdir.classify import build_usage_vectors, user_key
 from commdir.cli import main, read_records
 from commdir.clf import DEFAULT_POLICY, filter_records
 from commdir.community import build_graph, threshold_join
 from commdir.urls import extract_page_ref
-from test_artificial import jaccard, union_find_clusters
-from test_community import all_pairs_join, pair_adjacency, similarity
+from test_artificial import jaccard_links, jaccard_reaches, union_find_clusters
+from test_community import all_pairs_join, cosine_reaches, pair_adjacency
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -40,15 +40,15 @@ def test_sparse_artificial_cli_run_and_joins_match_oracle(tmp_path):
     records, _ = read_records(files["log"])
     kept = list(filter_records(records, DEFAULT_POLICY))
     profiles = profile_sites(extract_page_ref(r.resource) for r in kept)
-    sites = all_pairs_join({p.site: set(p.tokens) for p in profiles}, jaccard, sigma)
+    sites = all_pairs_join({p.site: set(p.tokens) for p in profiles}, jaccard_reaches, sigma)
     assert any(sites.values())
     tokens = {p.site: dict.fromkeys(p.tokens or [None], 1) for p in profiles}
-    assert pair_adjacency(tokens, threshold_join(tokens, _jaccard, sigma)) == sites
+    assert pair_adjacency(tokens, threshold_join(tokens, jaccard_links(sigma))) == sites
     partition = cluster_sites(profiles, sigma)
     assert partition == union_find_clusters(profiles, sigma)
 
     vectors = build_usage_vectors(kept, build_artificial_directory(partition, profiles))
-    users = all_pairs_join({v.user: v for v in vectors}, similarity, tau)
+    users = all_pairs_join({v.user: v for v in vectors}, cosine_reaches, tau)
     assert any(users.values())
     assert build_graph(vectors, tau).adjacency == users
 
