@@ -5,7 +5,7 @@ Streaming parser for proxy/web-server access logs in CLF
 error recovery: a bad line yields a typed error value instead of aborting
 the file. A record keeps its date as the checked text it was logged as.
 Also provides the inverse serializer, whose line parses back to the same
-record, a gzip-aware file opener and a method/status filter for
+record, a gzip-aware line reader and a method/status filter for
 restricting records to page fetches worth mining.
 
 All functions here are pure and safe for concurrent use.
@@ -13,6 +13,7 @@ All functions here are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gzip
 import io
@@ -21,7 +22,7 @@ import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 # Longer lines are rejected as FieldCountMismatch before matching. This bounds
 # the parse work per line and, since open_log yields at most MAX_LINE_BYTES + 1
@@ -252,50 +253,35 @@ def format_record(rec: LogRecord) -> str:
             f" {rec.status} {'-' if rec.bytes is None else rec.bytes}")
 
 
-class _Log(io.TextIOWrapper):
-    """A log opened as text, with CRLF and a lone CR read as LF.
-
-    Iteration yields each line without its line end, and at most
-    MAX_LINE_BYTES + 1 characters of it: the rest of a longer line is read
-    and dropped, so memory does not grow with line length. It reads the file
-    itself, so iterate or ``read``, not both.
-    """
-
-    def __iter__(self) -> Iterator[str]:
-        cap = MAX_LINE_BYTES + 1
-        # The chunks the wrapper's own readline reads, so a failing source
-        # fails after the same line. A line inside one chunk is no longer
-        # than the chunk.
-        read1, size = self.buffer.read1, self._CHUNK_SIZE
-        decode = io.IncrementalNewlineDecoder(None, translate=True).decode
-        tail = ""  # the unfinished line at the end of the text read so far
-        while True:
-            data = read1(size)
-            lines = decode(data.decode("latin-1"), not data).split("\n")
-            lines[0] = (tail + lines[0])[:cap]
-            tail = lines.pop()
-            yield from lines
-            if not data:
-                break
-        if tail:
-            yield tail
+def _read_lines(source) -> Iterator[str]:
+    """The lines of a binary file, decoded latin-1, without their line ends,
+    each cut to MAX_LINE_BYTES + 1 characters: the rest of a longer line is
+    read and dropped, so memory does not grow with line length."""
+    cap = MAX_LINE_BYTES + 1
+    decode = io.IncrementalNewlineDecoder(None, translate=True).decode
+    tail = ""  # the unfinished line at the end of the text read so far
+    while True:
+        # TextIOWrapper's read size, so a failing source (a truncated gzip)
+        # fails after the same line as a text file iterated line by line.
+        data = source.read1(8192)
+        lines = decode(data.decode("latin-1"), not data).split("\n")
+        lines[0] = (tail + lines[0])[:cap]  # a line inside one chunk is shorter than cap
+        tail = lines.pop()
+        yield from lines
+        if not data:
+            break
+    if tail:
+        yield tail
 
 
-def open_log(path) -> IO[str]:
-    """Open a log file for text reading, transparently decompressing gzip.
-
-    Detection is by magic bytes, not filename. latin-1 decoding keeps every
-    byte addressable and never fails. LF, CRLF and a lone CR each end a line.
-    """
-    f = open(path, "rb")
-    try:
+@contextlib.contextmanager
+def open_log(path) -> Iterator[Iterator[str]]:
+    """Open a log file once and yield an iterator of its lines, gunzipped
+    when its magic bytes (not its name) say gzip. LF, CRLF and a lone CR
+    each end a line; latin-1 keeps every byte addressable and never fails."""
+    with open(path, "rb") as f:
         magic = f.read(2)
         f.seek(0)
-    except OSError:
-        f.close()
-        raise
-    if magic == b"\x1f\x8b":
-        # A GzipFile never closes a fileobj it is given, so it opens the path itself.
-        f.close()
-        f = gzip.open(path)
-    return _Log(f, encoding="latin-1")
+        # A GzipFile leaves the file it reads open; the outer with closes it.
+        with gzip.GzipFile(fileobj=f) if magic == b"\x1f\x8b" else f as source:
+            yield _read_lines(source)

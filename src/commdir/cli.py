@@ -22,6 +22,7 @@ import re
 import stat
 import sys
 from collections import Counter
+from decimal import Decimal
 from typing import IO, Iterator
 
 from . import artificial, clf, community, metrics
@@ -333,6 +334,18 @@ def _number(kind: type, low: float, high: float, what: str):
 _unit_interval = _number(float, 0.0, 1.0, "a number in [0, 1]")
 
 
+def _exact(convert):
+    """argparse type: ``convert``'s float, when the decimal it prints equals the
+    flag's (0.40 and 0.4 do, 1e-400 and 0.0 do not): a threshold is decided at it."""
+    def exact(text: str) -> float:
+        value = convert(text)
+        if Decimal(text) != Decimal(str(value)):
+            raise argparse.ArgumentTypeError(f"expected a decimal that a float prints"
+                                             f" back, got {text!r}, which reads as {value!r}")
+        return value
+    return exact
+
+
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     methods, status = _policy_flags(clf.DEFAULT_POLICY)
     p.add_argument("--policy-methods", default=methods, metavar="M1,M2",
@@ -366,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--artificial", action="store_true",
                        help="build an artificial taxonomy from the log itself")
     p.add_argument("--sigma", default=artificial.DEFAULT_SIGMA,
-                   type=_number(float, 0.0, sys.float_info.max, "a finite number >= 0"),
+                   type=_exact(_number(float, 0.0, sys.float_info.max, "a finite number >= 0")),
                    help="site-clustering Jaccard threshold for --artificial")
-    p.add_argument("--tau", type=_unit_interval, default=community.DEFAULT_TAU,
+    p.add_argument("--tau", type=_exact(_unit_interval), default=community.DEFAULT_TAU,
                    help="user-similarity edge threshold")
     p.add_argument("--theta", type=_unit_interval, default=community.DEFAULT_THETA,
                    help="category score selection threshold")

@@ -418,7 +418,28 @@ def test_open_log_closes_the_file_when_reading_its_magic_fails(monkeypatch, samp
 
     monkeypatch.setattr(clf, "open", unreadable, raising=False)
     with pytest.raises(OSError, match=os.strerror(errno.EIO)):
-        open_log(sample_log_path)
+        with open_log(sample_log_path):
+            pass
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_open_log_decompresses_the_file_it_sniffed(monkeypatch, tmp_path, sample_log_path):
+    # The path holds plain text on disk, but opens as a gzip stream: the
+    # lines must come from the stream whose magic was read, not from a
+    # second open of the path.
+    path = tmp_path / "access.log"
+    path.write_bytes(b"not a gzip file\n")
+    packed = gzip.compress(sample_log_path.read_bytes())
+    opened = []
+
+    def gzip_stream(*args):
+        opened.append(io.BytesIO(packed))
+        return opened[-1]
+
+    monkeypatch.setattr(clf, "open", gzip_stream, raising=False)
+    with open_log(path) as f:
+        lines = list(f)
+    assert lines == sample_log_path.read_text(encoding="latin-1").splitlines()
     assert len(opened) == 1 and opened[0].closed
 
 
@@ -431,7 +452,7 @@ def test_open_log_gzip_closes_the_raw_file(tmp_path, sample_log_path, monkeypatc
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
         with open_log(gz) as f:
-            assert f.read() == sample_log_path.read_text(encoding="latin-1")
+            assert list(f) == sample_log_path.read_text(encoding="latin-1").splitlines()
         del f
         gc.collect()
     assert unraisable == []
@@ -511,8 +532,8 @@ def test_open_log_lines_equal_textiowrapper_lines(tmp_path, seed):
 def test_open_log_line_end_at_a_chunk_boundary(tmp_path, end, shift):
     path = tmp_path / "access.log"
     path.write_bytes(b"x" * 3 * 8192)
-    with open_log(path) as f:  # the first chunk's size depends on the file system
-        boundary = len(f.buffer.read1(f._CHUNK_SIZE))
+    with open(path, "rb") as f:  # the first chunk's size depends on the file system
+        boundary = len(f.read1(8192))
     # The first line's end starts at byte boundary - 1 + shift, so at shift 0
     # a CRLF is split across the first two chunks.
     head = '127.0.0.1 - frank [10/Oct/2000:13:55:36 -0700] "GET /'

@@ -603,6 +603,35 @@ def test_cluster_negative_zero_flags_and_weights_are_zero(tmp_path, capsys, samp
     assert "  sigma = 0.0\n" in stdout
 
 
+# The library decides a threshold at the decimal its float prints as, the
+# oracles at the flag text: a text whose float prints another number is one
+# they would decide differently. At 1e-400 (read as 0.0) two users with
+# nothing in common would form one community; at 0.121558882936034374 (read
+# as 0.12155888293603437) users whose cosine lies between the two would be linked.
+@pytest.mark.parametrize("flag, text", [("--tau", "1e-400"), ("--tau", "0.121558882936034374"),
+                                        ("--sigma", "1e-400"),
+                                        ("--sigma", "0.83333333333333333333")])
+def test_cluster_rejects_a_threshold_its_float_changes(tmp_path, capsys, sample_log_path,
+                                                       flag, text):
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, "cluster", str(sample_log_path), "--artificial",
+                               flag, text, "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(f"error: argument {flag}: ") and stderr.count("\n") == 1
+    assert repr(text) in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["0.4", "0.40", "4e-1", "0.12155888293603437"])
+def test_cluster_accepts_a_threshold_its_float_prints(tmp_path, capsys, sample_log_path, text):
+    out = tmp_path / "out"
+    code, stdout, _ = run(capsys, "cluster", str(sample_log_path), "--artificial",
+                          "--tau", text, "--sigma", text, "--out", str(out))
+    assert code == 0
+    parameters = json.loads((out / "report.json").read_text())["parameters"]
+    assert parameters["tau"] == parameters["sigma"] == float(text)
+
+
 def test_cluster_reports_a_failed_read_of_the_log(monkeypatch, tmp_path, capsys,
                                                   sample_log_path, data_dir):
     monkeypatch.setattr(clf, "open", lambda *args: UnreadableFile(), raising=False)
