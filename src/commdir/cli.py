@@ -321,29 +321,15 @@ def cmd_taxonomy(args) -> int:
 
 
 def _number(kind: type, low: float, high: float, what: str):
-    """argparse type: a ``kind`` value in [low, high] (so never NaN), described as ``what``."""
+    """argparse type: a ``kind`` value in [low, high] (so never NaN) whose decimal is
+    the flag's (0.40 and 0.4 are, 1e-400 and 0.0 are not), described as ``what``."""
     def convert(text: str):
         with contextlib.suppress(ValueError):
             value = kind(text) or kind()  # -0.0 becomes 0.0
-            if low <= value <= high:
+            if low <= value <= high and Decimal(text) == Decimal(str(value)):
                 return value
         raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
     return convert
-
-
-_unit_interval = _number(float, 0.0, 1.0, "a number in [0, 1]")
-
-
-def _exact(convert):
-    """argparse type: ``convert``'s float, when the decimal it prints equals the
-    flag's (0.40 and 0.4 do, 1e-400 and 0.0 do not): a threshold is decided at it."""
-    def exact(text: str) -> float:
-        value = convert(text)
-        if Decimal(text) != Decimal(str(value)):
-            raise argparse.ArgumentTypeError(f"expected a decimal that a float prints"
-                                             f" back, got {text!r}, which reads as {value!r}")
-        return value
-    return exact
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
@@ -379,11 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--artificial", action="store_true",
                        help="build an artificial taxonomy from the log itself")
     p.add_argument("--sigma", default=artificial.DEFAULT_SIGMA,
-                   type=_exact(_number(float, 0.0, sys.float_info.max, "a finite number >= 0")),
+                   type=_number(float, 0.0, sys.float_info.max,
+                                "a finite number >= 0 that a float prints back"),
                    help="site-clustering Jaccard threshold for --artificial")
-    p.add_argument("--tau", type=_exact(_unit_interval), default=community.DEFAULT_TAU,
+    p.add_argument("--tau", default=community.DEFAULT_TAU,
+                   type=_number(float, 0.0, 1.0, "a number in [0, 1] that a float prints back"),
                    help="user-similarity edge threshold")
-    p.add_argument("--theta", type=_unit_interval, default=community.DEFAULT_THETA,
+    p.add_argument("--theta", default=community.DEFAULT_THETA,
+                   type=_number(float, 0.0, 1.0, "a number in [0, 1] that a float prints back"),
                    help="category score selection threshold")
     p.add_argument("--min-size", default=community.DEFAULT_MIN_SIZE,
                    type=_number(int, 1, sys.maxsize, "an integer >= 1"),
@@ -400,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="taxonomy file")
     p.add_argument("path", nargs="?", help="category path (add/update)")
     p.add_argument("--keywords", help="comma-separated keywords (update: omitted = kept)")
-    p.add_argument("--weight", type=float,
+    p.add_argument("--weight",
+                   type=_number(float, 0.0, 1.0, "a number in [0, 1] that a float prints back"),
                    help="explicit weight in [0,1]; omitted = depth default (update: kept)")
     p.set_defaults(func=cmd_taxonomy)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import fnmatch
@@ -608,9 +609,12 @@ def test_cluster_negative_zero_flags_and_weights_are_zero(tmp_path, capsys, samp
 # they would decide differently. At 1e-400 (read as 0.0) two users with
 # nothing in common would form one community; at 0.121558882936034374 (read
 # as 0.12155888293603437) users whose cosine lies between the two would be linked.
+# A --theta of 1e-400 would turn on theta 0's whole-taxonomy selection.
 @pytest.mark.parametrize("flag, text", [("--tau", "1e-400"), ("--tau", "0.121558882936034374"),
                                         ("--sigma", "1e-400"),
-                                        ("--sigma", "0.83333333333333333333")])
+                                        ("--sigma", "0.83333333333333333333"),
+                                        ("--theta", "1e-400"),
+                                        ("--theta", "0.30000000000000001")])
 def test_cluster_rejects_a_threshold_its_float_changes(tmp_path, capsys, sample_log_path,
                                                        flag, text):
     out = tmp_path / "out"
@@ -626,10 +630,10 @@ def test_cluster_rejects_a_threshold_its_float_changes(tmp_path, capsys, sample_
 def test_cluster_accepts_a_threshold_its_float_prints(tmp_path, capsys, sample_log_path, text):
     out = tmp_path / "out"
     code, stdout, _ = run(capsys, "cluster", str(sample_log_path), "--artificial",
-                          "--tau", text, "--sigma", text, "--out", str(out))
+                          "--tau", text, "--sigma", text, "--theta", text, "--out", str(out))
     assert code == 0
     parameters = json.loads((out / "report.json").read_text())["parameters"]
-    assert parameters["tau"] == parameters["sigma"] == float(text)
+    assert parameters["tau"] == parameters["sigma"] == parameters["theta"] == float(text)
 
 
 def test_cluster_reports_a_failed_read_of_the_log(monkeypatch, tmp_path, capsys,
@@ -664,6 +668,27 @@ def test_taxonomy_bad_weight_fails(capsys, tmp_path, data_dir):
     code, _, _ = run(capsys, "taxonomy", "add", str(tax), "Top/News",
                      "--weight", "1.5")
     assert code == 1
+
+
+# As with the cluster thresholds: the file would store a weight that was not typed.
+@pytest.mark.parametrize("text", ["1e-400", "0.30000000000000001"])
+def test_taxonomy_rejects_a_weight_its_float_changes(text, capsys, tmp_path, data_dir):
+    tax = tmp_path / "t.tsv"
+    shutil.copy(data_dir / "taxonomy.tsv", tax)
+    code, stdout, stderr = run(capsys, "taxonomy", "add", str(tax), "Top/News", "--weight", text)
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: argument --weight: ") and stderr.count("\n") == 1
+    assert repr(text) in stderr
+    assert tax.read_bytes() == (data_dir / "taxonomy.tsv").read_bytes()
+
+
+def test_every_numeric_flag_is_read_by_the_one_converter():
+    # A builtin type would read 1e-400 as 0.0 and 1.5 past the flag's range.
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            assert action.type not in (float, int), (name, action.dest)
 
 
 @pytest.mark.parametrize("argv", [
