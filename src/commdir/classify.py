@@ -52,18 +52,17 @@ def classify_page(ref: PageRef, tax: Taxonomy) -> str:
     return min(overlap, key=lambda p: (-depth(p), -overlap[p], p), default=UNSPECIFIED)
 
 
-def count_usage(hits: Mapping[tuple[str, str], int], tax: Taxonomy) -> list[UsageVector]:
+def count_usage(hits: Mapping[tuple[str, str], int], pages: Mapping[str, PageRef],
+                tax: Taxonomy) -> list[UsageVector]:
     """One usage vector per distinct user, sorted by user id, from the hit
-    count of each (user, resource) pair.
+    count of each (user, resource) pair and the PageRef of each resource.
 
     Each hit counts to its page's category, or to UNSPECIFIED. Each distinct
-    resource is classified once.
+    resource is classified once, from ``pages``: ``cli._read_input`` builds it.
     """
-    category: dict[str, str] = {}
+    category = {resource: classify_page(ref, tax) for resource, ref in pages.items()}
     per_user: dict[str, dict[str, int]] = {}
     for (user, resource), n in hits.items():
-        if resource not in category:
-            category[resource] = classify_page(extract_page_ref(resource), tax)
         counts = per_user.setdefault(user, {})
         path = category[resource]
         counts[path] = counts.get(path, 0) + n
@@ -75,7 +74,9 @@ def count_usage(hits: Mapping[tuple[str, str], int], tax: Taxonomy) -> list[Usag
 
 def build_usage_vectors(records: Iterable[LogRecord], tax: Taxonomy) -> list[UsageVector]:
     """``count_usage`` over policy-filtered records, one hit per record."""
-    return count_usage(Counter((user_key(rec), rec.resource) for rec in records), tax)
+    hits = Counter((user_key(rec), rec.resource) for rec in records)
+    pages = {r: extract_page_ref(r) for r in dict.fromkeys(r for _, r in hits)}
+    return count_usage(hits, pages, tax)
 
 
 def usage_vectors_tsv(vectors: Iterable[UsageVector]) -> str:

@@ -30,7 +30,7 @@ from . import classify as classify_mod
 from . import taxonomy as taxonomy_mod
 from .classify import user_key
 from .clf import FilterPolicy, LogRecord
-from .urls import extract_page_ref
+from .urls import PageRef, extract_page_ref
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,11 +136,13 @@ def _policy_from_args(args) -> FilterPolicy:
     return FilterPolicy(methods=methods, status_classes=classes)
 
 
-def _read_input(args) -> tuple[FilterPolicy, dict[tuple[str, str], int], Counter, int]:
+def _read_input(args) -> tuple[FilterPolicy, dict[tuple[str, str], int], dict[str, PageRef],
+                               Counter, int]:
     """Read ``args.input`` and apply the policy flags: (policy, hit count of
-    each (user, resource) pair it keeps, parse-error Counter, number of
-    records it removed). No record is held once it is counted. Raises
-    NoRecordsError, saying what was read, when it keeps none."""
+    each (user, resource) pair it keeps, PageRef of each of their resources,
+    parse-error Counter, number of records it removed). No record is held
+    once it is counted. The PageRefs are extracted here, after the read, once
+    per distinct resource. Raises NoRecordsError, saying what was read, when it keeps none."""
     policy = _policy_from_args(args)
     keeps = policy.keeps
     hits: dict[tuple[str, str], int] = {}
@@ -155,19 +157,19 @@ def _read_input(args) -> tuple[FilterPolicy, dict[tuple[str, str], int], Counter
     if not hits:
         raise NoRecordsError(f"no records to mine: {_by_reason(errors, 'lines rejected')}, "
                              f"{filtered_out} filtered out")
-    return policy, hits, errors, filtered_out
+    pages = {r: extract_page_ref(r) for r in dict.fromkeys(r for _, r in hits)}
+    return policy, hits, pages, errors, filtered_out
 
 
-def _page_hits(hits: dict[tuple[str, str], int]) -> Counter:
-    """PageRef -> hits, from the hits of (user, resource) pairs; each
-    distinct resource is extracted once."""
+def _page_hits(hits: dict[tuple[str, str], int], pages: dict[str, PageRef]) -> Counter:
+    """PageRef -> hits, from the hits of (user, resource) pairs and the
+    PageRef of each resource, which ``_read_input`` extracted."""
     per_resource: dict[str, int] = {}
     for (_, resource), n in hits.items():
         per_resource[resource] = per_resource.get(resource, 0) + n
     refs: Counter = Counter()
     for resource, n in per_resource.items():
-        ref = extract_page_ref(resource)
-        refs[ref] = refs.get(ref, 0) + n
+        refs[pages[resource]] += n
     return refs
 
 
@@ -206,7 +208,7 @@ def cmd_sites(args) -> int:
     site_hits: Counter = Counter()
     local = 0
     dir_hits: Counter = Counter()
-    for ref, n in _page_hits(_read_input(args)[1]).items():
+    for ref, n in _page_hits(*_read_input(args)[1:3]).items():
         if ref.site is None:
             local += n
             continue
@@ -225,7 +227,7 @@ def cmd_sites(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    policy, hits, parse_errors, filtered_out = _read_input(args)
+    policy, hits, pages, parse_errors, filtered_out = _read_input(args)
     methods, status = _policy_flags(policy)
 
     parameters = {
@@ -241,7 +243,7 @@ def cmd_cluster(args) -> int:
     outputs: dict[str, str] = {}
     if args.artificial:
         parameters["sigma"] = args.sigma
-        profiles = artificial.profile_sites(_page_hits(hits))
+        profiles = artificial.profile_sites(_page_hits(hits, pages))
         partition = artificial.cluster_sites(profiles, args.sigma)
         tax = artificial.build_artificial_directory(partition, profiles)
         outputs["artificial-taxonomy.tsv"] = taxonomy_mod.serialize_taxonomy(tax)
@@ -249,7 +251,7 @@ def cmd_cluster(args) -> int:
         with _about(f"taxonomy {args.taxonomy}"):
             tax = taxonomy_mod.load_taxonomy(args.taxonomy)
 
-    vectors = classify_mod.count_usage(hits, tax)
+    vectors = classify_mod.count_usage(hits, pages, tax)
     graph = community.build_graph(vectors, args.tau)
     member_sets = community.find_communities(
         graph, min_size=args.min_size, keep_singletons=args.keep_singletons)

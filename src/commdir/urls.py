@@ -9,7 +9,6 @@ thematic classification and site clustering.
 
 from __future__ import annotations
 
-import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -35,8 +34,6 @@ def strip_query(resource: str) -> str:
     return resource.partition("?")[0].partition("#")[0]
 
 
-# Logs repeat resources heavily; a PageRef is frozen, so sharing one is safe.
-@functools.lru_cache(maxsize=65536)
 def extract_page_ref(resource: str) -> PageRef:
     """Split a logged resource into site, directories and page name.
 

@@ -108,3 +108,28 @@ def moon_moser_log(groups: int):
             log_lines.append(f'{host} - - {ts} "GET /www.{topic}.org/ HTTP/1.0" 200 512')
     tau = 0.99 / (3 * (groups - 1))
     return "\n".join(log_lines) + "\n", "\n".join(tax_lines) + "\n", f"{tau:.4g}"
+
+
+def write_wide_log(path, resources: int, sites: int) -> None:
+    """A log of ``resources`` lines, each naming a resource no other line
+    names, spread evenly over ``sites`` sites.
+
+    Line ``i`` names ``/www.w{s}.com/{s}x{i}.html`` of site ``s``, so no two
+    sites share a token, and host ``s // 10`` visits it, so no two users
+    share a site.
+    """
+    per_site = -(-resources // sites)
+    with open(path, "w", encoding="ascii") as f:
+        for i in range(resources):
+            s = i // per_site
+            f.write(f'10.0.{s // 10 // 256}.{s // 10 % 256} - - [10/Oct/2000:13:55:36 -0700]'
+                    f' "GET /www.w{s}.com/{s}x{i}.html HTTP/1.0" 200 512\n')
+
+
+def shared_index_log(sites: int) -> str:
+    """A log of one line per site, in which one of 10 users visits
+    ``/www.s{i}.com/index.html``: every site holds the tokens ``s{i}`` and
+    ``index``, so any two sites have Jaccard 1/3 and are linked at sigma 0.3."""
+    ts = "[10/Oct/2000:13:55:36 -0700]"
+    return "".join(f'10.0.0.{i % 10} - - {ts} "GET /www.s{i}.com/index.html HTTP/1.0" 200 512\n'
+                   for i in range(sites))

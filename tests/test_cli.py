@@ -13,15 +13,17 @@ import shutil
 import stat
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from commdir import clf, metrics
+from commdir import classify, cli, clf, metrics
 from commdir.classify import build_usage_vectors
 from commdir.cli import _policy_from_args, build_parser, main, read_records
 from commdir.community import (build_community_directory, build_graph, community_profile,
                                directory_text, find_communities)
 from commdir.taxonomy import MAX_DEPTH, load_taxonomy
+from commdir.urls import extract_page_ref
 from loggen import moon_moser_log
 from test_clf import UnreadableFile
 
@@ -221,6 +223,35 @@ def test_cluster_artificial(tmp_path, capsys, sample_log_path):
     report = json.loads((out / "report.json").read_text())
     assert report["taxonomy_categories"] == 9
     assert report["parameters"]["sigma"] == 0.9
+
+
+@pytest.mark.parametrize("command", [["cluster", "--artificial"], ["cluster", "--taxonomy"],
+                                     ["sites", "--dirs"]])
+def test_each_kept_resource_is_extracted_once(tmp_path, capsys, sample_log_path, data_dir,
+                                              monkeypatch, command):
+    # A second user repeats every resource, and a POST line names one that the
+    # policy drops: each resource kept is resolved exactly once, the dropped one never.
+    sample = sample_log_path.read_text()
+    log = tmp_path / "access.log"
+    log.write_text(sample + sample.replace("127.0.0.1", "10.0.0.1")
+                   + sample.splitlines()[0].replace("GET /", "POST /dropped/") + "\n")
+    kept = {r.resource for r in clf.filter_records(read_records(str(log))[0], clf.DEFAULT_POLICY)}
+    assert len(kept) == 13
+    calls = Counter()
+
+    def counting_extract(resource):
+        calls[resource] += 1
+        return extract_page_ref(resource)
+
+    for module in (cli, classify):
+        monkeypatch.setattr(module, "extract_page_ref", counting_extract)
+    argv = [command[0], str(log), command[1]]
+    if command[1] == "--taxonomy":
+        argv.append(str(data_dir / "taxonomy.tsv"))
+    if command[0] == "cluster":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(capsys, *argv)[0] == 0
+    assert calls == Counter(kept)
 
 
 def test_cluster_accepts_parse_output(tmp_path, capsys, sample_log_path, data_dir):

@@ -19,6 +19,10 @@ not the communities times the users.
 pair, holding no record once counted, so the traced peak of its ingest
 stays put while the lines grow and those pairs do not.
 
+``cluster --artificial`` must resolve each distinct resource once: on a log
+of 70,000 of them, more than the 65,536 entries that a cache of
+``extract_page_ref`` once held, it builds 70,000 ``PageRef``s, not 140,000.
+
 ``cluster_sites`` must hold no graph of the sites: at sigma 0 it returns
 its one block without linking every pair of sites, and above 0 it merges
 the blocks of each linked pair as the join yields it, so its traced peak
@@ -32,7 +36,7 @@ from collections import Counter
 
 import pytest
 
-from commdir import cli, community
+from commdir import cli, community, urls
 from commdir.artificial import SiteProfile, cluster_sites
 from commdir.classify import build_usage_vectors
 from commdir.cli import read_records
@@ -45,7 +49,7 @@ from commdir.taxonomy import load_taxonomy
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
-from loggen import moon_moser_log, write_bulk_log  # noqa: E402
+from loggen import moon_moser_log, write_bulk_log, write_wide_log  # noqa: E402
 
 SCALES = (300, 600, 1_200)
 # A measured figure may grow up to 25% faster than its bound before a gate
@@ -188,6 +192,21 @@ def test_ingest_peak_grows_with_distinct_pairs_not_lines(tmp_path):
         peaks.append(ingest_peak(log))
     assert pairs == [4_096, 4_096]
     assert peaks[1] < INGEST_GROWTH * peaks[0], peaks
+
+
+def test_artificial_builds_one_page_ref_per_distinct_resource(tmp_path, monkeypatch):
+    log = tmp_path / "wide.log"
+    write_wide_log(log, 70_000, 700)
+    built = 0
+
+    def counting_page_ref(*fields, make=urls.PageRef):
+        nonlocal built
+        built += 1
+        return make(*fields)
+
+    monkeypatch.setattr(urls, "PageRef", counting_page_ref)
+    assert cli.main(["cluster", str(log), "--artificial", "--out", str(tmp_path / "out")]) == 0
+    assert built == 70_000
 
 
 # Measured growth of the peak for 4x the sites: at sigma 0, 4.0x for one
