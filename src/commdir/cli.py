@@ -289,7 +289,7 @@ def cmd_cluster(args) -> int:
 
 
 def _show_taxonomy(tax: taxonomy_mod.Taxonomy) -> Iterator[str]:
-    for path, cat in tax.categories.items():
+    for path, cat in tax.items():
         segment = path.rsplit("/", 1)[-1]
         line = f"{'  ' * taxonomy_mod.depth(path)}{segment}  w={cat.weight:.2f}"
         if cat.keywords:
@@ -306,7 +306,7 @@ def cmd_taxonomy(args) -> int:
         for line in _show_taxonomy(tax):
             print(line)
         return EXIT_OK
-    cat = tax.categories.get(args.path)
+    cat = tax.get(args.path)
     if args.action == "add" and cat is not None:
         raise ValueError(f"duplicate path: {args.path!r} already exists (use update)")
     if args.action == "update" and cat is None:
@@ -346,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="commdir",
                      description="Mine proxy access logs into community web directories.")
     sub = parser.add_subparsers(dest="command", required=True)
+    unit = _number(float, 0.0, 1.0, "a number in [0, 1] that a float prints back")
 
     p = sub.add_parser("parse", help="parse a CLF log into canonical records")
     p.add_argument("log", help="access log file (plain or gzip)")
@@ -370,11 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_number(float, 0.0, sys.float_info.max,
                                 "a finite number >= 0 that a float prints back"),
                    help="site-clustering Jaccard threshold for --artificial")
-    p.add_argument("--tau", default=community.DEFAULT_TAU,
-                   type=_number(float, 0.0, 1.0, "a number in [0, 1] that a float prints back"),
+    p.add_argument("--tau", default=community.DEFAULT_TAU, type=unit,
                    help="user-similarity edge threshold")
-    p.add_argument("--theta", default=community.DEFAULT_THETA,
-                   type=_number(float, 0.0, 1.0, "a number in [0, 1] that a float prints back"),
+    p.add_argument("--theta", default=community.DEFAULT_THETA, type=unit,
                    help="category score selection threshold")
     p.add_argument("--min-size", default=community.DEFAULT_MIN_SIZE,
                    type=_number(int, 1, sys.maxsize, "an integer >= 1"),
@@ -391,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="taxonomy file")
     p.add_argument("path", nargs="?", help="category path (add/update)")
     p.add_argument("--keywords", help="comma-separated keywords (update: omitted = kept)")
-    p.add_argument("--weight",
-                   type=_number(float, 0.0, 1.0, "a number in [0, 1] that a float prints back"),
+    p.add_argument("--weight", type=unit,
                    help="explicit weight in [0,1]; omitted = depth default (update: kept)")
     p.set_defaults(func=cmd_taxonomy)
 

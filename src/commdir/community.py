@@ -226,9 +226,8 @@ def build_community_directory(tax: Taxonomy, community: Community,
     for cat, n in community.profile.items():
         for path in (*ancestors(cat), cat):
             hits[path] += n
-    cats = tax.categories
-    scores = {path: cats[path].weight * (hits[path] / (community.total or 1))
-              for path in (cats if theta == 0 else hits) if path in cats}
+    scores = {path: tax[path].weight * (hits[path] / (community.total or 1))
+              for path in (tax if theta == 0 else hits) if path in tax}
     selected: dict[str, float] = {}
     for path, score in scores.items():
         if score >= theta:

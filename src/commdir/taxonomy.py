@@ -11,9 +11,9 @@ up to three tab-separated columns ``path<TAB>comma,separated,keywords<TAB>weight
 (columns 2-3 optional), ``#`` starts a comment line. Missing intermediate
 ancestors are auto-created on load.
 
-Taxonomy values are immutable after construction; edits build new values.
-They keep their categories in tree order (``preorder``), which every
-renderer lists them in.
+A taxonomy is a dict of path -> Category, not edited after construction;
+edits build new values. It keeps its categories in tree order
+(``preorder``), which every renderer lists them in.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Mapping
 
 ROOT = "Top"
 # Deepest category path accepted; the JSON encoder nests two containers per
@@ -66,36 +66,23 @@ class Category:
     explicit_weight: bool = field(default=False, compare=False)
 
 
-class Taxonomy:
-    """Immutable rooted category tree keyed by path, categories in tree order."""
+class Taxonomy(dict[str, Category]):
+    """Rooted category tree: a dict of path -> Category in tree order."""
 
     def __init__(self, categories: Mapping[str, Category]):
-        self._categories = {path: categories[path] for path in preorder(categories)}
-        if ROOT not in self._categories:
+        super().__init__((path, categories[path]) for path in preorder(categories))
+        if ROOT not in self:
             raise TaxonomyError(f"taxonomy has no root category {ROOT!r}")
-        for path in self._categories:
+        for path in self:
             p = parent(path)
-            if p is not None and p not in self._categories:
+            if p is not None and p not in self:
                 raise TaxonomyError(f"category {path!r} has no parent {p!r}")
-
-    @property
-    def categories(self) -> dict[str, Category]:
-        return self._categories
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._categories
-
-    def __len__(self) -> int:
-        return len(self._categories)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._categories)
 
     @cached_property
     def keyword_index(self) -> dict[str, tuple[str, ...]]:
         """keyword token -> paths of the categories carrying it, in tree order."""
         index: dict[str, list[str]] = {}
-        for path, cat in self._categories.items():
+        for path, cat in self.items():
             for kw in cat.keywords:
                 index.setdefault(kw, []).append(path)
         return {kw: tuple(ps) for kw, ps in index.items()}
@@ -107,7 +94,7 @@ class Taxonomy:
         A category named after a site lists that site: ``Top/News/www.example.com``.
         """
         index: dict[str, str] = {}
-        for path in sorted(self._categories, key=lambda p: (-depth(p), p)):
+        for path in sorted(self, key=lambda p: (-depth(p), p)):
             index.setdefault(path.rpartition("/")[2], path)
         return index
 
@@ -200,7 +187,7 @@ def serialize_taxonomy(tax: Taxonomy) -> str:
     explicit weights are emitted with full float precision.
     """
     lines = []
-    for path, cat in tax.categories.items():
+    for path, cat in tax.items():
         kws = ",".join(sorted(cat.keywords))
         weight = repr(cat.weight) if cat.explicit_weight else ""
         lines.append(f"{path}\t{kws}\t{weight}".rstrip("\t"))
@@ -216,7 +203,7 @@ def add_or_update_category(tax: Taxonomy, path: str, keywords: Iterable[str],
     """
     entries: dict[str, tuple[Iterable[str], float | None]] = {
         p: (c.keywords, c.weight if c.explicit_weight else None)
-        for p, c in tax.categories.items()
+        for p, c in tax.items()
     }
     entries[path] = (tuple(keywords), weight)
     return make_taxonomy(entries)

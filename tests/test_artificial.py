@@ -231,7 +231,7 @@ def test_artificial_directory_structure(sample_records):
     assert len(tax) == 9  # root + 4 clusters + 4 sites
     # w3schools dominates with 5 hits, so it names Cluster-1
     assert "Top/Cluster-1/www.w3schools.com" in tax
-    cluster1 = tax.categories["Top/Cluster-1"]
+    cluster1 = tax["Top/Cluster-1"]
     assert {"w3schools", "xml"} <= cluster1.keywords
     assert len(cluster1.keywords) <= 5
 
@@ -248,7 +248,7 @@ def test_artificial_directory_is_valid_taxonomy(sample_records):
     for path in tax:
         for anc in ancestors(path):
             assert anc in tax
-        assert 0.0 <= tax.categories[path].weight <= 1.0
+        assert 0.0 <= tax[path].weight <= 1.0
     assert max(depth(p) for p in tax) == 2
 
 
@@ -334,7 +334,7 @@ def test_partition_check_matches_loop_oracle():
             outcomes["empty block"] += not all(partition)
             continue
         tax = build_artificial_directory(partition, profiles)
-        assert tax.categories == expected.categories
+        assert tax == expected
         outcomes["accepted"] += 1
     assert min(outcomes.values()) > 500, outcomes
 

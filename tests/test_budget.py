@@ -43,6 +43,15 @@ def sparse_tau_zero(tmp_path):
     return [files["log"], "--artificial", "--sigma", "0.2", "--tau", "0"]
 
 
+def sparse_x4_sigma_zero(tmp_path):
+    """The sparse-artificial log at four times its size (168,988 lines), its
+    visited sites all in one artificial category."""
+    params = {key: 4 * gen.WORKLOADS["sparse-artificial"].params[key]
+              for key in ("lines", "users", "sites", "themes")}
+    files, _ = gen.generate("sparse-artificial", 1, str(tmp_path), params=params)
+    return [files["log"], "--artificial", "--sigma", "0"]
+
+
 def shared_index(tmp_path):
     """1,000 sites that all share the token ``index``: every pair is linked."""
     (tmp_path / "shared.log").write_text(shared_index_log(1_000))
@@ -61,6 +70,7 @@ def wide(tmp_path):
 ROWS = [
     pytest.param(moon_moser, 224, 60, {0}, id="moon-moser-k6"),  # need 86-90 MiB, 0.8 s
     pytest.param(sparse_tau_zero, 256, 60, {0}, id="sparse-x1-tau0"),  # need 106-110 MiB, 0.9 s
+    pytest.param(sparse_x4_sigma_zero, 208, 60, {0}, id="sparse-x4-sigma0"),  # need 80-88 MiB, 3 s
     pytest.param(shared_index, 80, 60, {0}, id="shared-index-1k-sigma0.3"),  # need 19-23 MiB, 0.3 s
     pytest.param(wide, 208, 60, {0}, id="wide-70k-resources"),  # need 75-82 MiB, 1.2 s
 ]

@@ -21,7 +21,7 @@ def brute_force_classify(ref, tax):
     tokens = set(tokenize(ref))
     best = None
     for path in sorted(tax):
-        overlap = len(tax.categories[path].keywords & tokens)
+        overlap = len(tax[path].keywords & tokens)
         if overlap == 0:
             continue
         key = (depth(path), overlap)
@@ -107,7 +107,7 @@ def test_classify_equals_old_sorted_scan():
             got = classify_page(ref, tax)
             assert got == old_sorted_scan(ref, tax), (entries, ref)
             tokens = set(tokenize(ref))
-            keys = [(depth(p), len(c.keywords & tokens)) for p, c in tax.categories.items()
+            keys = [(depth(p), len(c.keywords & tokens)) for p, c in tax.items()
                     if c.keywords & tokens]
             ties += bool(keys) and keys.count(max(keys)) > 1
     assert ties > 500
@@ -160,7 +160,7 @@ def test_adding_keyword_never_decreases_count(sample_records, fixture_taxonomy):
     from commdir.taxonomy import add_or_update_category
 
     base = build_usage_vectors(sample_records, fixture_taxonomy)[0]
-    cat = fixture_taxonomy.categories["Top/Search"]
+    cat = fixture_taxonomy["Top/Search"]
     widened = add_or_update_category(
         fixture_taxonomy, "Top/Search", cat.keywords | {"google"})
     after = build_usage_vectors(sample_records, widened)[0]
@@ -276,7 +276,7 @@ def test_page_of_a_site_in_a_two_site_cluster_goes_to_its_own_node():
     profiles = profile_sites(extract_page_ref(p) for p in pages)
     tax = build_artificial_directory([("www.aaa.org", "www.bbb.org")], profiles)
     nodes = ["Top/Cluster-1/www.aaa.org", "Top/Cluster-1/www.bbb.org"]
-    assert [tax.categories[n].keywords for n in nodes] == [{"a1", "a2", "a3", "a4", "a5"}] * 2
+    assert [tax[n].keywords for n in nodes] == [{"a1", "a2", "a3", "a4", "a5"}] * 2
     assert [classify_page(extract_page_ref(p), tax) for p in pages] == nodes
     records = [LogRecord("10.0.0.1", None, None, "10/Oct/2000:13:55:36 -0700", "GET", p,
                          "HTTP/1.0", 200, None) for p in pages[1:] * 3]

@@ -103,13 +103,13 @@ def test_library_example_runs(tmp_path, monkeypatch, data_dir):
 
 def test_library_names_exist():
     names = set(_NAME.findall(section("Library"))) - set(removed_names())
-    assert {"clf", "cli", "TaxonomyError", "Taxonomy.categories", "PageRef.site"} <= names
+    assert {"clf", "cli", "TaxonomyError", "Taxonomy.site_index", "PageRef.site"} <= names
     assert [name for name in sorted(names) if not exists(name)] == []
 
 
 def test_removed_names_are_gone():
     removed = removed_names()
-    assert len(removed) == 19
+    assert len(removed) == 20
     for name in removed:
         assert not exists(name), name
         attr = name.rpartition(".")[2]

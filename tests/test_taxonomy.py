@@ -35,14 +35,14 @@ def test_load_auto_creates_ancestors():
     tax = load_str(TWO_LEAF_FILE)
     assert len(tax) == 4
     assert set(tax) == {"Top", "Top/Computers", "Top/Computers/HTML", "Top/Computers/XML"}
-    assert tax.categories["Top/Computers/XML"].keywords == {"xml", "xsl", "dtd"}
-    assert tax.categories["Top/Computers/XML"].weight == 0.9
+    assert tax["Top/Computers/XML"].keywords == {"xml", "xsl", "dtd"}
+    assert tax["Top/Computers/XML"].weight == 0.9
 
 
 def test_load_root_only():
     tax = load_str("Top\n")
     assert len(tax) == 1
-    assert tax.categories[ROOT].weight == 0.0
+    assert tax[ROOT].weight == 0.0
 
 
 def test_duplicate_path_rejected():
@@ -98,28 +98,28 @@ def test_paths_deeper_than_max_depth_rejected():
 
 def test_negative_zero_weight_is_zero():
     tax = load_str("Top/A\tx\t-0\n")
-    assert math.copysign(1.0, tax.categories["Top/A"].weight) == 1.0
+    assert math.copysign(1.0, tax["Top/A"].weight) == 1.0
     assert serialize_taxonomy(tax) == "Top\nTop/A\tx\t0.0\n"
     tax = make_taxonomy({"Top/A": ((), -0.0)})
-    assert math.copysign(1.0, tax.categories["Top/A"].weight) == 1.0
+    assert math.copysign(1.0, tax["Top/A"].weight) == 1.0
 
 
 def test_default_weights_are_depth_proportional():
     tax = load_str("Top/A/B/C\n")
-    weights = {p: tax.categories[p].weight for p in tax}
+    weights = {p: tax[p].weight for p in tax}
     assert weights == {"Top": 0.0, "Top/A": 1 / 3, "Top/A/B": 2 / 3, "Top/A/B/C": 1.0}
 
 
 def test_explicit_weight_survives_default_recompute():
     tax = load_str("Top/A\tx\t0.25\nTop/B/C\ty\n")
-    assert tax.categories["Top/A"].weight == 0.25
-    assert tax.categories["Top/B"].weight == 0.5
-    assert tax.categories["Top/B/C"].weight == 1.0
+    assert tax["Top/A"].weight == 0.25
+    assert tax["Top/B"].weight == 0.5
+    assert tax["Top/B/C"].weight == 1.0
 
 
 def test_missing_columns_are_empty_and_every_column_is_stripped():
     tax = load_str("Top/A\t Foo , BAR ,,\t 0.5 \nTop/B\nTop/C\t\t\n")
-    a, b, c = (tax.categories[p] for p in ("Top/A", "Top/B", "Top/C"))
+    a, b, c = (tax[p] for p in ("Top/A", "Top/B", "Top/C"))
     assert (a.keywords, a.weight, a.explicit_weight) == ({"foo", "bar"}, 0.5, True)
     assert (b.keywords, b.weight, b.explicit_weight) == (frozenset(), 1.0, False)
     assert (c.keywords, c.weight, c.explicit_weight) == (frozenset(), 1.0, False)
@@ -141,7 +141,7 @@ def test_add_category(fixture_taxonomy):
 def test_update_keeps_count(fixture_taxonomy):
     tax = add_or_update_category(fixture_taxonomy, "Top/Computers/XML", ["xml"])
     assert len(tax) == len(fixture_taxonomy)
-    assert tax.categories["Top/Computers/XML"].keywords == {"xml"}
+    assert tax["Top/Computers/XML"].keywords == {"xml"}
 
 
 def test_add_deep_path_creates_chain():
@@ -152,10 +152,10 @@ def test_add_deep_path_creates_chain():
 
 def test_add_updates_depth_defaults():
     tax = load_str("Top/A\n")
-    assert tax.categories["Top/A"].weight == 1.0
+    assert tax["Top/A"].weight == 1.0
     tax = add_or_update_category(tax, "Top/A/B", [])
-    assert tax.categories["Top/A"].weight == 0.5
-    assert tax.categories["Top/A/B"].weight == 1.0
+    assert tax["Top/A"].weight == 0.5
+    assert tax["Top/A/B"].weight == 1.0
 
 
 def test_add_bad_weight_rejected(fixture_taxonomy):
@@ -182,7 +182,7 @@ def test_serialize_round_trip(fixture_taxonomy):
     again = load_str(text)
     assert tuple(again) == tuple(fixture_taxonomy)
     for path in fixture_taxonomy:
-        a, b = fixture_taxonomy.categories[path], again.categories[path]
+        a, b = fixture_taxonomy[path], again[path]
         assert a.keywords == b.keywords
         assert a.weight == b.weight
     assert serialize_taxonomy(again) == text
@@ -192,21 +192,21 @@ def test_serialize_preserves_explicit_weights():
     tax = load_str("Top/A\tx\t0.3\nTop/B\ty\n")
     text = serialize_taxonomy(tax)
     again = load_str(text)
-    assert again.categories["Top/A"].explicit_weight
-    assert not again.categories["Top/B"].explicit_weight
-    assert again.categories["Top/A"].weight == 0.3
+    assert again["Top/A"].explicit_weight
+    assert not again["Top/B"].explicit_weight
+    assert again["Top/A"].weight == 0.3
 
 
 def test_walk_is_depth_first_with_sorted_children():
     tax = load_str("Top/B/Y\nTop/B/X\nTop/A\n")
-    assert list(tax.categories) == ["Top", "Top/A", "Top/B", "Top/B/X", "Top/B/Y"]
-    assert [depth(p) for p in tax.categories] == [0, 1, 1, 2, 2]
+    assert list(tax) == ["Top", "Top/A", "Top/B", "Top/B/X", "Top/B/Y"]
+    assert [depth(p) for p in tax] == [0, 1, 1, 2, 2]
 
 
 def test_walk_puts_a_subtree_before_siblings_that_sort_below_slash():
     tax = load_str("Top/A.b\nTop/A-B\nTop/A B\nTop/A/x\n")
-    assert list(tax.categories) == ["Top", "Top/A", "Top/A/x", "Top/A B", "Top/A-B", "Top/A.b"]
-    assert [depth(p) for p in tax.categories] == [0, 1, 2, 1, 1, 1]
+    assert list(tax) == ["Top", "Top/A", "Top/A/x", "Top/A B", "Top/A-B", "Top/A.b"]
+    assert [depth(p) for p in tax] == [0, 1, 2, 1, 1, 1]
 
 
 # Segments with characters that sort below "/", for which preorder and
@@ -263,7 +263,7 @@ def test_walk_within_visits_only_an_ancestor_closed_subset():
         tax = random_taxonomy(rng)
         within = random_within(rng, tax)
         selected = directory_of(tax, within).selected
-        assert list(selected) == [p for p in tax.categories if p in within]
+        assert list(selected) == [p for p in tax if p in within]
         assert list(directory_of(tax, set()).selected) == []
 
 
@@ -271,7 +271,7 @@ def test_walk_matches_old_stack_walk():
     rng = random.Random(19)
     for _ in range(400):
         tax = random_taxonomy(rng)
-        assert [(p, depth(p)) for p in tax.categories] == list(old_walk(tax))
+        assert [(p, depth(p)) for p in tax] == list(old_walk(tax))
         within = random_within(rng, tax)
         selected = directory_of(tax, within).selected
         assert [(p, depth(p)) for p in selected] == list(old_walk(tax, within))
@@ -280,7 +280,7 @@ def test_walk_matches_old_stack_walk():
 def test_load_file_ignores_byte_order_mark(tmp_path):
     path = tmp_path / "bom.tsv"
     path.write_bytes("\ufeffTop/A\tx\nTop/B\ty\n".encode("utf-8"))
-    assert load_taxonomy(path).categories == load_str("Top/A\tx\nTop/B\ty\n").categories
+    assert load_taxonomy(path) == load_str("Top/A\tx\nTop/B\ty\n")
 
 
 def test_keyword_index_maps_tokens_to_paths(fixture_taxonomy):
@@ -324,7 +324,7 @@ def three_branch_serialize_taxonomy(tax):
     """serialize_taxonomy as it was, with one line shape per kind of
     category: the oracle of the one shape with its empty columns stripped."""
     lines = []
-    for path, cat in tax.categories.items():
+    for path, cat in tax.items():
         kws = ",".join(sorted(cat.keywords))
         if cat.explicit_weight:
             lines.append(f"{path}\t{kws}\t{cat.weight!r}")
@@ -346,9 +346,9 @@ def test_every_taxonomy_make_taxonomy_accepts_reads_back(entries):
     assert text == three_branch_serialize_taxonomy(tax)
     # Read as a file is read: UTF-8 with universal newlines.
     again = load_taxonomy(io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8"))
-    assert again.categories == tax.categories
-    assert [c.explicit_weight for c in again.categories.values()] == \
-        [c.explicit_weight for c in tax.categories.values()]
+    assert again == tax
+    assert [c.explicit_weight for c in again.values()] == \
+        [c.explicit_weight for c in tax.values()]
 
 
 def two_pass_make_taxonomy(entries):
@@ -389,9 +389,9 @@ def test_make_taxonomy_matches_two_pass_oracle(entries):
             make_taxonomy(entries)
         return
     tax = make_taxonomy(entries)
-    assert list(tax.categories.items()) == list(expected.categories.items())
-    assert [c.explicit_weight for c in tax.categories.values()] == \
-        [c.explicit_weight for c in expected.categories.values()]
+    assert list(tax.items()) == list(expected.items())
+    assert [c.explicit_weight for c in tax.values()] == \
+        [c.explicit_weight for c in expected.values()]
 
 
 @pytest.mark.parametrize("path,keyword", [
